@@ -1,15 +1,12 @@
 #include "dist/coordinator.hpp"
 
-#include <sys/stat.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <memory>
 #include <utility>
 
 #include "dist/transport.hpp"
 #include "maxpower/ledger.hpp"
+#include "util/atomic_file.hpp"
 #include "util/status.hpp"
 
 namespace mpe::dist {
@@ -18,13 +15,6 @@ namespace {
 
 using maxpower::CampaignJobOutcome;
 using maxpower::JobStatus;
-
-void ensure_directory(const std::string& path) {
-  if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) return;
-  throw Error(ErrorCode::kIo, "cannot create campaign state directory",
-              ErrorContext{}.kv("path", path).kv("errno", std::strerror(errno))
-                  .str());
-}
 
 }  // namespace
 
@@ -35,7 +25,7 @@ CoordinatorCore::CoordinatorCore(CoordinatorConfig config)
                 "CoordinatorConfig::state_dir must be set");
   }
   if (config_.max_assignments == 0) config_.max_assignments = 1;
-  ensure_directory(config_.state_dir);
+  util::ensure_directory(config_.state_dir);
   report_path_ = config_.report_path.empty()
                      ? config_.state_dir + "/campaign.jsonl"
                      : config_.report_path;
@@ -91,10 +81,9 @@ CoordinatorCore::CoordinatorCore(CoordinatorConfig config)
   for (const auto& rec : ledger_read.records) {
     if (!rec.is_shard || rec.status != "done") continue;
     JobState* state = find(rec.job);
-    if (state == nullptr || state->phase() != JobPhase::kPending) continue;
-    if (state->mode != JobMode::kSharded ||
+    if (state == nullptr || state->phase() != JobPhase::kPending ||
         rec.shard >= state->shards.size()) {
-      continue;
+      continue;  // unknown, terminal, or unsharded job
     }
     ShardState& shard = state->shards[rec.shard];
     if (shard.lease.phase == sched::LeasePhase::kDone) {
@@ -119,11 +108,8 @@ CoordinatorCore::CoordinatorCore(CoordinatorConfig config)
     shard.samples = std::move(samples);
     ++shards_done_;
   }
-  for (auto& state : jobs_) {
-    if (state.phase() == JobPhase::kPending &&
-        state.mode == JobMode::kSharded) {
-      try_assemble(state);
-    }
+  if (sharded_mode()) {
+    for (auto& state : jobs_) try_assemble(state);
   }
 }
 
@@ -148,7 +134,6 @@ std::size_t CoordinatorCore::shard_size_now() const {
 void CoordinatorCore::init_shards(JobState& state,
                                   const maxpower::CampaignJob& job) {
   if (!sharded_mode()) return;
-  state.mode = JobMode::kSharded;
   const std::size_t size = shard_size_now();
   const std::uint64_t attempts = maxpower::job_attempt_budget(job);
   const std::size_t n = maxpower::shard_count(attempts, size);
@@ -260,16 +245,6 @@ void CoordinatorCore::fail_exhausted(JobState& state, std::size_t attempts,
   record(state, outcome);
 }
 
-bool CoordinatorCore::shard_pristine(const JobState& state) {
-  for (const auto& shard : state.shards) {
-    if (shard.lease.phase != sched::LeasePhase::kPending ||
-        shard.lease.assignments > 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::string CoordinatorCore::grant_shard(JobState& state, std::size_t k,
                                          const std::string& worker,
                                          Clock::time_point now) {
@@ -330,71 +305,56 @@ std::string CoordinatorCore::handle(const Message& msg, Clock::time_point now) {
   tick(now);
   switch (msg.kind) {
     case MessageKind::kHello:
-      if (msg.proto < kMinProtocolVersion || msg.proto > kProtocolVersion) {
+      if (msg.proto != kProtocolVersion) {
         return encode_error("protocol version mismatch");
       }
       return encode_ack();
 
     case MessageKind::kRequest: {
       if (draining_) return encode_drain();
-      const bool v2 = msg.proto >= 2;
       Clock::time_point soonest = Clock::time_point::max();
       for (auto& state : jobs_) {
         if (state.phase() != JobPhase::kPending) continue;
-        if (state.mode == JobMode::kSharded) {
-          if (!v2) {
-            // A v1 worker cannot run shard leases. Hand it the whole job —
-            // but only while no shard has made any progress, so one index
-            // is never claimed under two different structures at once (and
-            // never when the config forbids whole-job results outright).
-            if (config_.whole_job_fallback && shard_pristine(state) &&
-                sched::grantable(state.lease, now)) {
-              state.mode = JobMode::kWhole;
-              return grant(state, msg.worker, now);
-            }
-            continue;
+        if (!sharded_mode()) {
+          if (sched::grantable(state.lease, now)) {
+            return grant(state, msg.worker, now);  // manifest order
           }
-          for (std::size_t k = 0; k < state.shards.size(); ++k) {
-            ShardState& shard = state.shards[k];
-            if (shard.lease.phase != sched::LeasePhase::kPending) continue;
-            if (sched::grantable(shard.lease, now)) {
-              return grant_shard(state, k, msg.worker, now);
-            }
-            soonest = std::min(soonest, shard.lease.earliest_grant);
-          }
+          soonest = std::min(soonest, state.lease.earliest_grant);
           continue;
         }
-        if (sched::grantable(state.lease, now)) {
-          return grant(state, msg.worker, now);  // manifest order
+        for (std::size_t k = 0; k < state.shards.size(); ++k) {
+          ShardState& shard = state.shards[k];
+          if (shard.lease.phase != sched::LeasePhase::kPending) continue;
+          if (sched::grantable(shard.lease, now)) {
+            return grant_shard(state, k, msg.worker, now);
+          }
+          soonest = std::min(soonest, shard.lease.earliest_grant);
         }
-        soonest = std::min(soonest, state.lease.earliest_grant);
       }
-      if (v2) {
-        // Nothing fresh to hand out: hunt for a straggler. The oldest
-        // in-flight shard that has been leased longer than straggler_after
-        // gets a second, speculative holder; the first valid result wins
-        // and the ledger dedups the loser.
-        JobState* spec_state = nullptr;
-        std::size_t spec_k = 0;
-        Clock::time_point oldest = Clock::time_point::max();
-        for (auto& state : jobs_) {
-          if (state.phase() != JobPhase::kPending) continue;
-          for (std::size_t k = 0; k < state.shards.size(); ++k) {
-            ShardState& shard = state.shards[k];
-            if (!sched::straggler_eligible(shard.lease, shard_policy_,
-                                           msg.worker, now)) {
-              continue;
-            }
-            if (shard.lease.leased_since < oldest) {
-              oldest = shard.lease.leased_since;
-              spec_state = &state;
-              spec_k = k;
-            }
+      // Nothing fresh to hand out: hunt for a straggler. The oldest
+      // in-flight shard that has been leased longer than straggler_after
+      // gets a second, speculative holder; the first valid result wins and
+      // the ledger dedups the loser.
+      JobState* spec_state = nullptr;
+      std::size_t spec_k = 0;
+      Clock::time_point oldest = Clock::time_point::max();
+      for (auto& state : jobs_) {
+        if (state.phase() != JobPhase::kPending) continue;
+        for (std::size_t k = 0; k < state.shards.size(); ++k) {
+          ShardState& shard = state.shards[k];
+          if (!sched::straggler_eligible(shard.lease, shard_policy_,
+                                         msg.worker, now)) {
+            continue;
+          }
+          if (shard.lease.leased_since < oldest) {
+            oldest = shard.lease.leased_since;
+            spec_state = &state;
+            spec_k = k;
           }
         }
-        if (spec_state != nullptr) {
-          return grant_shard(*spec_state, spec_k, msg.worker, now);
-        }
+      }
+      if (spec_state != nullptr) {
+        return grant_shard(*spec_state, spec_k, msg.worker, now);
       }
       // A persistent (estimation-as-a-service) coordinator never declares
       // the campaign over on its own: the job set is dynamic, so an empty
@@ -414,51 +374,34 @@ std::string CoordinatorCore::handle(const Message& msg, Clock::time_point now) {
 
     case MessageKind::kHeartbeat: {
       JobState* state = find(msg.job);
-      if (state == nullptr) return encode_revoke(msg.job);
-      if (msg.has_shard) {
-        if (state->phase() == JobPhase::kDone ||
-            state->phase() == JobPhase::kFailed ||
-            msg.shard >= state->shards.size()) {
-          return encode_revoke(msg.job);
-        }
-        // The substrate settles the rest: renewal for a live holder,
-        // adoption for an in-flight claim this coordinator does not know
-        // (it restarted, or the claim expired before a re-grant), revoke
-        // when the shard is done or both holder slots are taken.
-        switch (sched::heartbeat(state->shards[msg.shard].lease,
-                                 shard_policy_, msg.worker, now)) {
-          case sched::HeartbeatVerdict::kAdopted:
-            ++leases_granted_;
-            [[fallthrough]];
-          case sched::HeartbeatVerdict::kRenewed:
-            return encode_ack();
-          case sched::HeartbeatVerdict::kRejected:
-            return encode_revoke(msg.job);
-        }
+      // A claim must have this coordinator's lease structure. A whole-job
+      // holder from before a restart with sharding switched on is cut
+      // loose, and its work is recomputed as shards.
+      if (state == nullptr || msg.has_shard != sharded_mode()) {
         return encode_revoke(msg.job);
       }
-      if (state->mode == JobMode::kSharded &&
-          state->phase() == JobPhase::kPending &&
-          (!config_.whole_job_fallback || !shard_pristine(*state))) {
-        // Whole-job claim (a v1 worker from before this coordinator went
-        // sharded) on a job whose shards are already in flight — or on a
-        // coordinator that forbids whole-job results: adopting it would
-        // double-claim those indices (or yield a result frame the server
-        // cannot use). Cut the stale holder loose.
+      if (sharded_mode() && (state->phase() == JobPhase::kDone ||
+                             state->phase() == JobPhase::kFailed ||
+                             msg.shard >= state->shards.size())) {
         return encode_revoke(msg.job);
       }
-      switch (sched::heartbeat(state->lease, whole_policy_, msg.worker, now)) {
+      sched::Lease& lease =
+          sharded_mode() ? state->shards[msg.shard].lease : state->lease;
+      const sched::LeasePolicy& policy =
+          sharded_mode() ? shard_policy_ : whole_policy_;
+      // The substrate settles the rest: renewal for a live holder, adoption
+      // for an in-flight claim this coordinator does not know (it
+      // restarted, or the claim expired before a re-grant) — the work in
+      // flight is exactly the work we want done — and revoke when the claim
+      // is done or every holder slot is taken.
+      switch (sched::heartbeat(lease, policy, msg.worker, now)) {
         case sched::HeartbeatVerdict::kAdopted:
-          // A worker is actively running a job we think nobody holds: the
-          // substrate adopted the in-flight claim instead of re-granting —
-          // the work in flight is exactly the work we want done.
-          state->mode = JobMode::kWhole;
           ++leases_granted_;
           [[fallthrough]];
         case sched::HeartbeatVerdict::kRenewed:
           return encode_ack();
         case sched::HeartbeatVerdict::kRejected:
-          break;  // done/failed, or leased to someone else: stale holder
+          break;
       }
       return encode_revoke(msg.job);
     }
@@ -542,6 +485,11 @@ std::string CoordinatorCore::handle(const Message& msg, Clock::time_point now) {
     }
 
     case MessageKind::kResult: {
+      // Only an assembled shard prefix yields the full EstimationResult, so
+      // a sharded coordinator records no whole-job outcome.
+      if (sharded_mode()) {
+        return encode_error("whole-job result on a sharded coordinator");
+      }
       JobState* state = find(msg.job);
       if (state == nullptr) return encode_error("result for unknown job");
       const CampaignJobOutcome& outcome = msg.outcome;

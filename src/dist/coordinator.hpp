@@ -25,14 +25,17 @@
 //     acked; at-least-once delivery + state dedup = exactly-once ledger.
 //   * Under shard_size > 0 the same machinery runs at shard granularity
 //     (docs/ROBUSTNESS.md, "Sharded jobs"): each job is split into
-//     contiguous wave-index ranges [lo, hi) leased independently to
-//     protocol-v2 workers. Heartbeat renewal, expiry, bounded re-dispatch,
-//     straggler speculation (second holder, first valid result wins), and
-//     restart adoption all key on job:shard; done-shard payloads are
-//     appended to the ledger inline so a restarted coordinator rebuilds
-//     in-flight jobs from the ledger alone, and the contiguous done prefix
-//     is folded through Engine::replay into a final record byte-identical
-//     to a single-process run.
+//     contiguous wave-index ranges [lo, hi) leased independently. A
+//     coordinator's lease structure is fixed for its lifetime — every job
+//     is leased whole, or every job only as shards — so one wave index is
+//     never claimed under two structures. Heartbeat renewal, expiry,
+//     bounded re-dispatch, straggler speculation (second holder, first
+//     valid result wins), and restart adoption all key on job:shard.
+//     Done-shard payloads are appended to the ledger inline so a restarted
+//     coordinator rebuilds in-flight jobs from the ledger alone, and the
+//     contiguous done prefix is folded through Engine::replay into a final
+//     record byte-identical to a single-process run — the only way a
+//     sharded job turns done (a whole-job result frame is refused).
 //
 // The lease mechanics themselves — grant/heartbeat/expiry/backoff-gated
 // reassignment/adoption/straggler eligibility — live in the shared
@@ -87,10 +90,9 @@ struct CoordinatorConfig {
   util::RetryPolicy reassign;
   std::uint64_t jitter_seed = 0x9e3779b97f4a7c15ull;
   /// Intra-job wave sharding: when > 0, each job is split into contiguous
-  /// wave-index ranges of this many attempts and leased shard-by-shard to
-  /// protocol-v2 workers (maxpower/shard). 0 = whole-job leases only.
-  /// Protocol-v1 workers in a mixed fleet still get whole jobs: a sharded
-  /// job with no shard progress yet is flipped to whole-job mode on demand.
+  /// wave-index ranges of this many attempts and leased only shard by shard
+  /// (maxpower/shard); whole-job heartbeats are revoked and whole-job
+  /// results refused. 0 = whole-job leases only.
   std::size_t shard_size = 0;
   /// A leased shard older than this with idle capacity elsewhere is a
   /// straggler: it is speculatively re-issued to a second worker and the
@@ -109,12 +111,6 @@ struct CoordinatorConfig {
   std::size_t shard_size_ceiling = 4096;
   std::chrono::milliseconds shard_target_latency{2000};
   double shard_latency_alpha = 0.2;  ///< EWMA smoothing factor in (0, 1]
-  /// When false, protocol-v1 workers are never handed whole jobs and
-  /// whole-job claims are never adopted onto sharded jobs. The estimation
-  /// server's fleet executor needs this: only assembled shard results carry
-  /// the full EstimationResult (CI bounds, diagnostics) a server result
-  /// line is made of — the dist whole-job result frame does not.
-  bool whole_job_fallback = true;
   /// Estimation-as-a-service mode: the job set is dynamic (add_job), so a
   /// worker request finding nothing pending is answered `wait`, never
   /// `drain` (begin_drain() still wins once called).
@@ -189,11 +185,6 @@ class CoordinatorCore {
   std::size_t shards_done() const { return shards_done_; }
 
  private:
-  /// Whether a job hands out whole-job or shard leases. Sharded is the
-  /// default under shard_size > 0 but a job with no shard progress can be
-  /// flipped to whole-job mode to serve a protocol-v1 worker.
-  enum class JobMode : std::uint8_t { kWhole, kSharded };
-
   /// One wave-index range of a sharded job: the shard payload around its
   /// sched::Lease (max_holders 2: primary + one straggler re-issue).
   struct ShardState {
@@ -205,7 +196,6 @@ class CoordinatorCore {
 
   struct JobState {
     std::size_t index = 0;  ///< into config_.jobs
-    JobMode mode = JobMode::kWhole;
     bool skipped = false;   ///< done per the ledger before this run
     /// Terminal flavor once `lease` is done: failed vs done.
     bool failed = false;
@@ -214,7 +204,7 @@ class CoordinatorCore {
     /// way, so lease.phase == kDone means the job is terminal.
     sched::Lease lease;
     maxpower::CampaignJobOutcome outcome;
-    std::vector<ShardState> shards;  ///< mode == kSharded only
+    std::vector<ShardState> shards;  ///< sharded_mode() only
 
     JobPhase phase() const {
       if (lease.phase == sched::LeasePhase::kDone) {
@@ -226,6 +216,8 @@ class CoordinatorCore {
   };
 
   /// Sharding is on when a fixed size is set or the adaptive sizer runs.
+  /// It cannot change during a core's lifetime: it fixes every job's lease
+  /// structure (whole-job or shards) when the job is created.
   bool sharded_mode() const {
     return config_.shard_size > 0 || config_.shard_auto;
   }
@@ -241,9 +233,6 @@ class CoordinatorCore {
   void record(JobState& state, const maxpower::CampaignJobOutcome& outcome);
   void fail_exhausted(JobState& state, std::size_t attempts, ErrorCode error);
 
-  /// True while no shard of `state` has been leased or completed — the only
-  /// window in which the job may flip to whole-job mode for a v1 worker.
-  static bool shard_pristine(const JobState& state);
   std::string grant_shard(JobState& state, std::size_t k,
                           const std::string& worker, Clock::time_point now);
   /// Folds the contiguous done-shard prefix through the engine; records the

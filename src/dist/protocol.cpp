@@ -53,9 +53,8 @@ std::string encode_hello(std::string_view worker) {
 std::string encode_request(std::string_view worker) {
   auto f = header(MessageKind::kRequest);
   f.add("worker", worker);
-  // The coordinator core is stateless across messages, so the request
-  // itself carries the capability bit: proto >= 2 peers accept shard
-  // leases. v1 coordinators ignore the extra field.
+  // Unread by this coordinator; kept so that older coordinators, which
+  // take it as the capability bit for shard leases, still shard-lease.
   f.add("proto", kProtocolVersion);
   return f.object();
 }
@@ -182,7 +181,6 @@ Message decode_message(std::string_view line) {
       break;
     case MessageKind::kRequest:
       msg.worker = wire::required_string(v, "worker");
-      msg.proto = wire::number_or(v, "proto", 1);  // v1 workers never send it
       break;
     case MessageKind::kHeartbeat:
       msg.worker = wire::required_string(v, "worker");

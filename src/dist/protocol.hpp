@@ -3,17 +3,19 @@
 //
 // Worker -> coordinator:
 //   hello      {worker, proto}        introduce + version handshake; the
-//                                     coordinator accepts any proto in
-//                                     [kMinProtocolVersion, kProtocolVersion]
-//   request    {worker, [proto]}      ask for a lease; proto (default 1)
-//                                     tells the stateless coordinator core
-//                                     whether this worker can take shard
-//                                     leases (>= 2) or only whole jobs
+//                                     coordinator answers error unless
+//                                     proto == kProtocolVersion
+//   request    {worker, proto}        ask for a lease; the coordinator's own
+//                                     configuration decides whole-job or
+//                                     shard lease, and it ignores proto
 //   heartbeat  {worker, job, [shard]} renew the lease on `job` (or on one
-//                                     shard of it when `shard` is present)
+//                                     shard of it when `shard` is present);
+//                                     a claim of the other lease structure
+//                                     than the coordinator's is revoked
 //   result     {worker, job, status, attempts, [error], [estimate,
 //               hyper_samples, units, converged]}
-//                                     report a terminal whole-job outcome
+//                                     report a terminal whole-job outcome;
+//                                     a sharded coordinator answers error
 //   shard-result {worker, job, shard, lo, hi, status, [error], [samples]}
 //                                     report a terminal shard outcome;
 //                                     `samples` (a JSON array shipped as a
@@ -53,12 +55,9 @@
 
 namespace mpe::dist {
 
-/// Protocol revision; bumped on any incompatible message change. v2 adds
-/// shard leases; everything a v1 worker sends or understands is unchanged,
-/// so the coordinator keeps serving whole-job leases to v1 peers.
+/// Protocol revision; bumped on any incompatible message change (v2 added
+/// shard leases). The coordinator speaks this revision only.
 inline constexpr std::uint64_t kProtocolVersion = 2;
-/// Oldest peer revision the coordinator still speaks.
-inline constexpr std::uint64_t kMinProtocolVersion = 1;
 
 enum class MessageKind : std::uint8_t {
   kHello,
@@ -84,7 +83,7 @@ struct Message {
   std::string job;                ///< heartbeat/result/lease/revoke
   std::string spec;               ///< lease: manifest-format job JSON
   std::string detail;             ///< error
-  std::uint64_t proto = 0;        ///< hello; request (0 = pre-v2 peer)
+  std::uint64_t proto = 0;        ///< hello
   std::uint64_t ms = 0;           ///< lease: lease_ms; wait: backoff hint
   std::uint64_t job_deadline_ms = 0;  ///< lease: 0 = no per-job deadline
   std::uint64_t shard = 0;        ///< shard-lease/shard-result/heartbeat
@@ -103,7 +102,7 @@ struct Message {
 std::string encode_hello(std::string_view worker);
 std::string encode_request(std::string_view worker);
 std::string encode_heartbeat(std::string_view worker, std::string_view job);
-/// v2 heartbeat for a shard lease; the shard index tells the coordinator
+/// Heartbeat for a shard lease; the shard index tells the coordinator
 /// which holder slot to renew (one worker may only hold one lease, but two
 /// workers may hold the same shard during speculation).
 std::string encode_shard_heartbeat(std::string_view worker,

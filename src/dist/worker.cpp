@@ -1,11 +1,8 @@
 #include "dist/worker.hpp"
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <cstring>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -15,6 +12,7 @@
 #include "dist/transport.hpp"
 #include "maxpower/campaign.hpp"
 #include "maxpower/shard.hpp"
+#include "util/atomic_file.hpp"
 #include "util/rng.hpp"
 
 namespace mpe::dist {
@@ -29,13 +27,6 @@ constexpr auto kReplyTimeout = std::chrono::milliseconds{5000};
 /// Upper bound on report delivery attempts (each may include a full redial
 /// cycle); far beyond anything a live coordinator needs.
 constexpr std::size_t kMaxReportAttempts = 20;
-
-void ensure_directory(const std::string& path) {
-  if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) return;
-  throw Error(ErrorCode::kIo, "cannot create worker state directory",
-              ErrorContext{}.kv("path", path).kv("errno", std::strerror(errno))
-                  .str());
-}
 
 std::uint64_t fnv1a(std::string_view s) {
   std::uint64_t h = 1469598103934665603ull;
@@ -146,6 +137,46 @@ struct WorkerLoop {
     return deliver_until_acked(encode_result(cfg.worker_id, outcome));
   }
 
+  /// Runs `work` on a helper thread while this thread keeps its lease
+  /// alive: `heartbeat` goes out once per beat, and a revoke reply (or the
+  /// worker's own drain) trips `cancel`. Returns whether the lease was
+  /// revoked; `work`'s results are safe to read once this returns.
+  bool run_leased(const std::function<void()>& work,
+                  const std::string& heartbeat,
+                  const util::CancellationToken& cancel) {
+    std::atomic<bool> finished{false};
+    std::thread runner([&] {
+      work();
+      finished.store(true, std::memory_order_release);
+    });
+
+    bool revoked = false;
+    auto last_beat = std::chrono::steady_clock::now() - cfg.heartbeat;
+    while (!finished.load(std::memory_order_acquire)) {
+      if (cancelled()) cancel.request_stop();
+      const auto now = std::chrono::steady_clock::now();
+      if (now - last_beat >= cfg.heartbeat) {
+        last_beat = now;
+        // A dead channel is not fatal mid-lease: the engine keeps computing
+        // while we redial once per beat; on success the heartbeat re-adopts
+        // the lease from a restarted coordinator.
+        if (!ch && !cancelled()) dial_once();
+        if (ch) {
+          const auto reply = transact(heartbeat);
+          if (reply && reply->kind == MessageKind::kRevoke) {
+            // Someone else owns (or finished) the work: stop computing but
+            // keep the checkpoint — a future holder resumes it.
+            revoked = true;
+            cancel.request_stop();
+          }
+        }
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    runner.join();
+    return revoked;
+  }
+
   /// Runs one leased job on a helper thread while this thread keeps the
   /// lease alive, then reports the outcome.
   void execute_lease(const Message& lease) {
@@ -181,36 +212,12 @@ struct WorkerLoop {
 
     Rng job_rng(rng());  // independent stream; main thread keeps using rng
     CampaignJobOutcome outcome;
-    std::atomic<bool> finished{false};
-    std::thread runner([&] {
-      outcome = maxpower::run_campaign_job(job, options, job_rng);
-      outcome.worker = cfg.worker_id;
-      finished.store(true, std::memory_order_release);
-    });
-
-    bool revoked = false;
-    auto last_beat = std::chrono::steady_clock::now() - cfg.heartbeat;
-    while (!finished.load(std::memory_order_acquire)) {
-      if (cancelled()) job_cancel.request_stop();
-      const auto now = std::chrono::steady_clock::now();
-      if (now - last_beat >= cfg.heartbeat) {
-        last_beat = now;
-        // A dead channel is not fatal mid-job: the engine keeps computing
-        // while we redial once per beat; on success the heartbeat re-adopts
-        // the lease from a restarted coordinator.
-        if (!ch && !cancelled()) dial_once();
-        if (ch) {
-          const auto reply =
-              transact(encode_heartbeat(cfg.worker_id, lease.job));
-          if (reply && reply->kind == MessageKind::kRevoke) {
-            revoked = true;
-            job_cancel.request_stop();
-          }
-        }
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    runner.join();
+    const bool revoked = run_leased(
+        [&] {
+          outcome = maxpower::run_campaign_job(job, options, job_rng);
+          outcome.worker = cfg.worker_id;
+        },
+        encode_heartbeat(cfg.worker_id, lease.job), job_cancel);
 
     if (revoked && outcome.status != JobStatus::kDone) {
       // Someone else owns the job now; our partial run is irrelevant (the
@@ -260,35 +267,13 @@ struct WorkerLoop {
     options.checkpoint_every_k = cfg.checkpoint_every_k;
 
     maxpower::ShardOutcome outcome;
-    std::atomic<bool> finished{false};
-    std::thread runner([&] {
-      outcome = maxpower::run_campaign_shard(job, lease.shard, lease.lo,
-                                             lease.hi, options);
-      finished.store(true, std::memory_order_release);
-    });
-
-    bool revoked = false;
-    auto last_beat = std::chrono::steady_clock::now() - cfg.heartbeat;
-    while (!finished.load(std::memory_order_acquire)) {
-      if (cancelled()) shard_cancel.request_stop();
-      const auto now = std::chrono::steady_clock::now();
-      if (now - last_beat >= cfg.heartbeat) {
-        last_beat = now;
-        if (!ch && !cancelled()) dial_once();
-        if (ch) {
-          const auto reply = transact(
-              encode_shard_heartbeat(cfg.worker_id, lease.job, lease.shard));
-          if (reply && reply->kind == MessageKind::kRevoke) {
-            // Someone else owns (or finished) the shard; stop computing but
-            // keep the checkpoint — a future holder resumes it.
-            revoked = true;
-            shard_cancel.request_stop();
-          }
-        }
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    runner.join();
+    const bool revoked = run_leased(
+        [&] {
+          outcome = maxpower::run_campaign_shard(job, lease.shard, lease.lo,
+                                                 lease.hi, options);
+        },
+        encode_shard_heartbeat(cfg.worker_id, lease.job, lease.shard),
+        shard_cancel);
 
     if (revoked && outcome.status != JobStatus::kDone) {
       ++sum.stopped;
@@ -357,7 +342,7 @@ WorkerSummary run_worker(const WorkerConfig& config) {
                 "WorkerConfig needs socket_path or tcp_port, plus "
                 "worker_id and state_dir");
   }
-  ensure_directory(config.state_dir);
+  util::ensure_directory(config.state_dir);
   WorkerLoop loop(config);
   return loop.run();
 }

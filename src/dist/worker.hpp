@@ -16,7 +16,7 @@
 //     (at-least-once delivery; the coordinator dedupes), so a result can be
 //     delayed but never lost while the worker lives — and if the worker
 //     dies first, the checkpoint is the result, one resume away.
-//   * Shard leases (protocol v2) run through the same machinery: the worker
+//   * Shard leases run through the same lease runner: the worker
 //     computes one wave-index range via maxpower::run_campaign_shard —
 //     resuming that shard's own sealed checkpoint — heartbeats at shard
 //     granularity, and ships the sample slice back until acked.

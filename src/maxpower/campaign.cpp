@@ -1,9 +1,5 @@
 #include "maxpower/campaign.hpp"
 
-#include <sys/stat.h>
-
-#include <cerrno>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -25,13 +21,6 @@
 namespace mpe::maxpower {
 
 namespace {
-
-void ensure_directory(const std::string& path) {
-  if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) return;
-  throw Error(ErrorCode::kIo, "cannot create campaign state directory",
-              ErrorContext{}.kv("path", path).kv("errno", std::strerror(errno))
-                  .str());
-}
 
 double number_field(const util::JsonValue& obj, std::string_view key,
                     double fallback, std::size_t line_no) {
@@ -411,7 +400,7 @@ CampaignResult run_campaign(std::vector<CampaignJob>& jobs,
     throw Error(ErrorCode::kPrecondition,
                 "CampaignOptions::state_dir must be set");
   }
-  ensure_directory(options.state_dir);
+  util::ensure_directory(options.state_dir);
   const std::string report_path = options.report_path.empty()
                                       ? options.state_dir + "/campaign.jsonl"
                                       : options.report_path;

@@ -19,11 +19,9 @@ dist::CoordinatorConfig fleet_core_config(const std::string& state_dir,
   cfg.lease = options.lease;
   cfg.max_assignments = options.max_assignments;
   cfg.straggler_after = options.straggler_after;
-  // Shard leases are the only currency of fleet mode: a whole-job result
-  // frame has no CI bounds or diagnostics, so only assembled shard prefixes
-  // can back a server result line.
-  cfg.whole_job_fallback = false;
   cfg.persistent = true;
+  // Always sharded: only an assembled shard prefix carries the full
+  // EstimationResult (CI bounds, diagnostics) a server result line needs.
   if (options.shard_size > 0) {
     cfg.shard_size = options.shard_size;
   } else {

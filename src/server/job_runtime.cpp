@@ -5,8 +5,6 @@
 
 #include "maxpower/engine.hpp"
 #include "maxpower/run_report.hpp"
-#include "maxpower/stopping.hpp"
-#include "maxpower/tail_fitter.hpp"
 #include "sim/cpu_dispatch.hpp"
 
 namespace mpe::server {
@@ -44,39 +42,6 @@ JobExec build_exec(const maxpower::CampaignJob& job, CircuitCache& cache) {
   return e;
 }
 
-maxpower::EstimatorOptions estimator_options_for(
-    const maxpower::CampaignJob& job) {
-  maxpower::EstimatorOptions est;
-  est.epsilon = job.epsilon;
-  est.confidence = job.confidence;
-  est.max_hyper_samples = job.max_hyper_samples;
-  if (!job.stop.empty()) {
-    est.interval = *maxpower::interval_kind_from_name(job.stop);
-  }
-  return est;
-}
-
-ErrorCode classify_exec_result(const maxpower::EstimationResult& r) {
-  switch (r.stop_reason) {
-    case maxpower::StopReason::kConverged:
-      return ErrorCode::kOk;
-    case maxpower::StopReason::kDeadlineExceeded:
-      return ErrorCode::kDeadline;
-    case maxpower::StopReason::kCancelled:
-      return ErrorCode::kCancelled;
-    case maxpower::StopReason::kDataFault: {
-      const auto& records = r.diagnostics.records;
-      for (auto it = records.rbegin(); it != records.rend(); ++it) {
-        if (it->code != ErrorCode::kOk) return it->code;
-      }
-      return ErrorCode::kBadData;
-    }
-    case maxpower::StopReason::kMaxHyperSamples:
-    default:
-      return ErrorCode::kNonConvergence;
-  }
-}
-
 ExecJobResult execute_job(const ServerCore::Started& started,
                           util::Tracer* tracer, CircuitCache& cache,
                           const std::string& state_dir) {
@@ -85,7 +50,10 @@ ExecJobResult execute_job(const ServerCore::Started& started,
   out.outcome.name = started.job.name;
   out.outcome.attempts = 1;
 
-  maxpower::EstimatorOptions est = estimator_options_for(started.job);
+  // The campaign runner's composition, plus the server's cross-cutting
+  // fields: the ticket's cancel token and deadline, checkpoint, tracer.
+  maxpower::EngineConfig cfg = maxpower::campaign_engine_config(started.job);
+  maxpower::EstimatorOptions& est = cfg.options;
   est.control.cancel = started.cancel;
   if (started.deadline != Clock::time_point::max()) {
     est.control.deadline = util::Deadline::at(started.deadline);
@@ -94,18 +62,6 @@ ExecJobResult execute_job(const ServerCore::Started& started,
     est.checkpoint_path = state_dir + "/" + started.job.name + ".ckpt";
   }
   est.tracer = tracer;
-
-  maxpower::EngineConfig cfg;
-  if (!started.job.fitter.empty()) {
-    // "mle" stays on the default (null) fitter so an explicit request for
-    // the default does not perturb the checkpoint fingerprint.
-    const maxpower::TailFitterKind kind =
-        *maxpower::tail_fitter_kind_from_name(started.job.fitter);
-    if (kind != maxpower::TailFitterKind::kWeibullMle) {
-      cfg.fitter = maxpower::make_tail_fitter(kind);
-    }
-  }
-  cfg.options = est;
   const maxpower::Engine engine(cfg);
   maxpower::ParallelOptions par;
   par.threads = started.threads;
@@ -136,7 +92,7 @@ ExecJobResult execute_job(const ServerCore::Started& started,
     return out;
   }
 
-  const ErrorCode code = classify_exec_result(result);
+  const ErrorCode code = maxpower::classify_run_result(result);
   if (code == ErrorCode::kOk) {
     out.outcome.status = maxpower::JobStatus::kDone;
   } else if (code == ErrorCode::kCancelled || code == ErrorCode::kDeadline) {
@@ -174,7 +130,8 @@ std::string render_job_report(const maxpower::CampaignJob& job,
     std::ostringstream report;
     maxpower::RunReportOptions ro;
     ro.population = population;
-    write_run_report(report, result, estimator_options_for(job), ro);
+    write_run_report(report, result,
+                     maxpower::campaign_engine_config(job).options, ro);
     return std::move(report).str();
   } catch (const std::exception&) {
     return {};

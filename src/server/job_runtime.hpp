@@ -1,9 +1,10 @@
 // Per-job engine plumbing shared by the server's executors: building a
-// job's population stack from the circuit cache, mapping job specs onto
-// EstimatorOptions, running one job to a terminal outcome, and rendering
-// the run report. Kept identical to the campaign runner's construction —
-// that mirror is what makes server results byte-identical to batch runs,
-// whichever executor (local thread pool or shard fleet) produced them.
+// job's population stack from the circuit cache, running one job to a
+// terminal outcome, and rendering the run report. Both executors compose
+// the engine through maxpower::campaign_engine_config, the campaign
+// runner's own function — that is what makes server results byte-identical
+// to batch runs, whichever executor (local thread pool or shard fleet)
+// produced them.
 #pragma once
 
 #include <memory>
@@ -33,16 +34,6 @@ struct JobExec {
 /// Mirrors the campaign runner's build_runtime, with the netlist (and the
 /// compiled tape, for zero-delay jobs) coming from the shared cache.
 JobExec build_exec(const maxpower::CampaignJob& job, CircuitCache& cache);
-
-/// The estimator configuration a job spec maps to — exactly the fields the
-/// run report's header serializes, so a report rendered from these options
-/// matches one rendered inside execute_job byte for byte. Control, tracer,
-/// and checkpoint path are layered on by the caller (none reach the report).
-maxpower::EstimatorOptions estimator_options_for(
-    const maxpower::CampaignJob& job);
-
-/// Same terminal-code mapping as the campaign runner's classify_result.
-ErrorCode classify_exec_result(const maxpower::EstimationResult& r);
 
 struct ExecJobResult {
   maxpower::CampaignJobOutcome outcome;

@@ -95,4 +95,9 @@ bool file_exists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0;
 }
 
+void ensure_directory(const std::string& path) {
+  if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) return;
+  throw_errno("cannot create directory", path);
+}
+
 }  // namespace mpe::util

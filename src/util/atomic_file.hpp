@@ -27,4 +27,8 @@ std::string read_file(const std::string& path);
 /// True when `path` exists (any file type). Never throws.
 bool file_exists(const std::string& path);
 
+/// Creates directory `path` (one level, mode 0755) unless it already
+/// exists. Throws mpe::Error(kIo) naming the path and errno otherwise.
+void ensure_directory(const std::string& path);
+
 }  // namespace mpe::util

@@ -476,6 +476,23 @@ TEST(AtomicFile, WriteReadRoundTripAndOverwrite) {
   EXPECT_FALSE(mpe::util::file_exists(path));
 }
 
+TEST(AtomicFile, EnsureDirectoryIsIdempotentAndReportsIoErrors) {
+  const std::string dir = temp_path("ensure_dir_once");
+  std::remove(dir.c_str());
+  mpe::util::ensure_directory(dir);
+  mpe::util::ensure_directory(dir);  // already there: not an error
+  EXPECT_TRUE(mpe::util::file_exists(dir));
+  std::remove(dir.c_str());
+  try {
+    mpe::util::ensure_directory("/nonexistent-dir-mpe/child");
+    FAIL() << "created a directory under a missing parent";
+  } catch (const mpe::Error& e) {
+    EXPECT_EQ(e.code(), mpe::ErrorCode::kIo);
+    EXPECT_NE(std::string(e.what()).find("/nonexistent-dir-mpe/child"),
+              std::string::npos);
+  }
+}
+
 TEST(AtomicFile, UnwritableDirectoryIsIoError) {
   try {
     mpe::util::atomic_write_file("/nonexistent-dir-mpe/x.bin", "data");

@@ -5,9 +5,10 @@
 // expiry + bounded reassignment, adoption after coordinator restart,
 // exactly-once result dedup, drain) and shard leases (ascending grants,
 // straggler speculation, shard-granular expiry, ledger-rebuilt restart,
-// v1/v2 mixed fleets) — and in-process coordinator + worker fleets over a
-// real Unix socket and a real TCP listener whose merged ledgers must be
-// byte-identical to a single-process campaign of the same manifest.
+// refusal of whole-job claims and results) — and in-process coordinator +
+// worker fleets over a real Unix socket and a real TCP listener whose
+// merged ledgers must be byte-identical to a single-process campaign of the
+// same manifest.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -98,12 +99,6 @@ md::Message done_result(const std::string& worker, const std::string& job,
 
 md::MessageKind reply_kind(const std::string& line) {
   return md::decode_message(line).kind;
-}
-
-md::Message request_v2(const std::string& worker) {
-  md::Message m = request(worker);
-  m.proto = md::kProtocolVersion;
-  return m;
 }
 
 md::Message shard_heartbeat(const std::string& worker, const std::string& job,
@@ -296,8 +291,39 @@ TEST(Protocol, ShardLeaseAndShardHeartbeatRoundTrip) {
   EXPECT_EQ(hb.kind, md::MessageKind::kHeartbeat);
   EXPECT_TRUE(hb.has_shard);
   EXPECT_EQ(hb.shard, 3u);
-  // A v1 whole-job heartbeat decodes with the shard marker absent.
+  // A whole-job heartbeat decodes with the shard marker absent.
   EXPECT_FALSE(md::decode_message(md::encode_heartbeat("w0", "j7")).has_shard);
+}
+
+TEST(Protocol, WorkerFramesStayByteIdentical) {
+  // Every frame a worker sends is pinned byte for byte, so workers keep
+  // interoperating with coordinators of earlier builds. In particular the
+  // request keeps "proto":2, which older coordinators read as the
+  // capability bit for shard leases.
+  EXPECT_EQ(md::encode_hello("w0"),
+            R"({"schema":"mpe.dist","v":2,"type":"hello","worker":"w0",)"
+            R"("proto":2})");
+  EXPECT_EQ(md::encode_request("w0"),
+            R"({"schema":"mpe.dist","v":2,"type":"request","worker":"w0",)"
+            R"("proto":2})");
+  EXPECT_EQ(md::encode_heartbeat("w0", "j7"),
+            R"({"schema":"mpe.dist","v":2,"type":"heartbeat","worker":"w0",)"
+            R"("job":"j7"})");
+  EXPECT_EQ(md::encode_shard_heartbeat("w0", "j7", 3),
+            R"({"schema":"mpe.dist","v":2,"type":"heartbeat","worker":"w0",)"
+            R"("job":"j7","shard":3})");
+  EXPECT_EQ(md::encode_shard_result("w0", "j7", 3, 24, 32,
+                                    mp::JobStatus::kDone, mpe::ErrorCode::kOk,
+                                    "[]"),
+            R"({"schema":"mpe.dist","v":2,"type":"shard-result","worker":"w0",)"
+            R"("job":"j7","shard":3,"lo":24,"hi":32,"status":"done",)"
+            R"("samples":"[]"})");
+  EXPECT_EQ(md::encode_shard_result("w0", "j7", 3, 24, 32,
+                                    mp::JobStatus::kFailed,
+                                    mpe::ErrorCode::kInternal, "[]"),
+            R"({"schema":"mpe.dist","v":2,"type":"shard-result","worker":"w0",)"
+            R"("job":"j7","shard":3,"lo":24,"hi":32,"status":"failed",)"
+            R"("error":"internal"})");
 }
 
 TEST(Protocol, MalformedAndMistypedMessagesThrow) {
@@ -519,7 +545,7 @@ TEST(CoordinatorCore, StoppedResultReleasesTheLeaseForImmediateRegrant) {
 TEST(CoordinatorCore, ShardLeasesGoOutAscendingWithinAJob) {
   md::CoordinatorCore core(sharded_config(fresh_dir("cs_order")));
   const auto t0 = Clock::now();
-  const md::Message l1 = md::decode_message(core.handle(request_v2("w0"), t0));
+  const md::Message l1 = md::decode_message(core.handle(request("w0"), t0));
   ASSERT_EQ(l1.kind, md::MessageKind::kShardLease);
   EXPECT_EQ(l1.job, "j1");
   EXPECT_EQ(l1.shard, 0u);
@@ -527,7 +553,7 @@ TEST(CoordinatorCore, ShardLeasesGoOutAscendingWithinAJob) {
   EXPECT_EQ(l1.hi, 8u);
   EXPECT_EQ(l1.ms, 5000u);
   EXPECT_EQ(mp::parse_campaign_job_line(l1.spec).name, "j1");
-  const md::Message l2 = md::decode_message(core.handle(request_v2("w1"), t0));
+  const md::Message l2 = md::decode_message(core.handle(request("w1"), t0));
   ASSERT_EQ(l2.kind, md::MessageKind::kShardLease);
   EXPECT_EQ(l2.job, "j1");  // one job is drained of shards before the next
   EXPECT_EQ(l2.shard, 1u);
@@ -540,7 +566,7 @@ TEST(CoordinatorCore, DoneShardsAssembleIntoExactlyOneJobRecord) {
   const std::string ledger_path = config.state_dir + "/campaign.jsonl";
   md::CoordinatorCore core(std::move(config));
   const auto t0 = Clock::now();
-  core.handle(request_v2("w0"), t0);  // j1 shard 0
+  core.handle(request("w0"), t0);  // j1 shard 0
   // Identical estimates converge at the 3rd accepted sample, so shard 0
   // already covers j1's stopping point: assembly is terminal.
   EXPECT_EQ(reply_kind(core.handle(shard_done("w0", "j1", 0, 0, 8), t0 + 1s)),
@@ -567,23 +593,23 @@ TEST(CoordinatorCore, StragglerGetsASpeculativeSecondHolderFirstResultWins) {
   md::CoordinatorCore core(std::move(config));
   const std::uint64_t hi = mp::job_attempt_budget(tiny_job("j1", 3));
   const auto t0 = Clock::now();
-  ASSERT_EQ(reply_kind(core.handle(request_v2("w0"), t0)),
+  ASSERT_EQ(reply_kind(core.handle(request("w0"), t0)),
             md::MessageKind::kShardLease);
   // w0 is alive (heartbeating at shard granularity) but slow.
   EXPECT_EQ(reply_kind(core.handle(shard_heartbeat("w0", "j1", 0), t0 + 4s)),
             md::MessageKind::kAck);
   // Too early for speculation (straggler_after defaults to 2x lease = 10s).
-  EXPECT_EQ(reply_kind(core.handle(request_v2("w1"), t0 + 6s)),
+  EXPECT_EQ(reply_kind(core.handle(request("w1"), t0 + 6s)),
             md::MessageKind::kWait);
   EXPECT_EQ(reply_kind(core.handle(shard_heartbeat("w0", "j1", 0), t0 + 8s)),
             md::MessageKind::kAck);
   // A worker never races itself...
-  EXPECT_EQ(reply_kind(core.handle(request_v2("w0"), t0 + 11s)),
+  EXPECT_EQ(reply_kind(core.handle(request("w0"), t0 + 11s)),
             md::MessageKind::kWait);
   // ...but past the straggler threshold another worker gets a speculative
   // copy of the oldest in-flight shard.
   const md::Message spec =
-      md::decode_message(core.handle(request_v2("w1"), t0 + 11s));
+      md::decode_message(core.handle(request("w1"), t0 + 11s));
   ASSERT_EQ(spec.kind, md::MessageKind::kShardLease);
   EXPECT_EQ(spec.shard, 0u);
   // Speculation is bounded at two holders: a third is refused.
@@ -609,15 +635,15 @@ TEST(CoordinatorCore, ExpiredShardIsRedispatchedUntilItsBudgetFailsTheJob) {
   const std::string ledger_path = config.state_dir + "/campaign.jsonl";
   md::CoordinatorCore core(std::move(config));
   const auto t0 = Clock::now();
-  ASSERT_EQ(reply_kind(core.handle(request_v2("w0"), t0)),
+  ASSERT_EQ(reply_kind(core.handle(request("w0"), t0)),
             md::MessageKind::kShardLease);
   core.tick(t0 + 6s);  // w0 died: every holder of the shard expired
   // Immediately after expiry the shard is backoff-gated...
-  EXPECT_EQ(reply_kind(core.handle(request_v2("w1"), t0 + 6s)),
+  EXPECT_EQ(reply_kind(core.handle(request("w1"), t0 + 6s)),
             md::MessageKind::kWait);
   // ...then regranted once the (<=440ms jittered) backoff elapses.
   const md::Message regrant =
-      md::decode_message(core.handle(request_v2("w1"), t0 + 7s));
+      md::decode_message(core.handle(request("w1"), t0 + 7s));
   ASSERT_EQ(regrant.kind, md::MessageKind::kShardLease);
   EXPECT_EQ(regrant.shard, 0u);
   // The second holder dies too: the shard's budget is spent and the job
@@ -634,19 +660,19 @@ TEST(CoordinatorCore, ExpiredShardIsRedispatchedUntilItsBudgetFailsTheJob) {
 TEST(CoordinatorCore, ShardHeartbeatRenewalKeepsTheShardLeased) {
   md::CoordinatorCore core(sharded_config(fresh_dir("cs_renew")));
   const auto t0 = Clock::now();
-  core.handle(request_v2("w0"), t0);  // j1 shard 0, expiry t0+5s
+  core.handle(request("w0"), t0);  // j1 shard 0, expiry t0+5s
   EXPECT_EQ(reply_kind(core.handle(shard_heartbeat("w0", "j1", 0), t0 + 4s)),
             md::MessageKind::kAck);
   core.tick(t0 + 8s);  // past original expiry; the renewal moved it to t0+9s
   // Shard 0 must still be held: the next grant skips to shard 1.
   const md::Message next =
-      md::decode_message(core.handle(request_v2("w1"), t0 + 8s));
+      md::decode_message(core.handle(request("w1"), t0 + 8s));
   ASSERT_EQ(next.kind, md::MessageKind::kShardLease);
   EXPECT_EQ(next.shard, 1u);
   // Once the renewed lease lapses the shard returns to the pool.
   core.tick(t0 + 10s);
   const md::Message regrant =
-      md::decode_message(core.handle(request_v2("w2"), t0 + 11s));
+      md::decode_message(core.handle(request("w2"), t0 + 11s));
   ASSERT_EQ(regrant.kind, md::MessageKind::kShardLease);
   EXPECT_EQ(regrant.shard, 0u);
 }
@@ -656,7 +682,7 @@ TEST(CoordinatorCore, RestartRebuildsDoneShardsFromTheLedgerAlone) {
   {
     md::CoordinatorCore first(sharded_config(dir));
     const auto t0 = Clock::now();
-    first.handle(request_v2("w0"), t0);  // j1 shard 0
+    first.handle(request("w0"), t0);  // j1 shard 0
     // A wide spread keeps j1 unconverged: shard 0 completes but the job
     // stays pending, owing shards.
     ASSERT_EQ(reply_kind(first.handle(
@@ -671,7 +697,7 @@ TEST(CoordinatorCore, RestartRebuildsDoneShardsFromTheLedgerAlone) {
   const auto t1 = Clock::now();
   // Work resumes at the first shard still owed, not at zero.
   const md::Message next =
-      md::decode_message(second.handle(request_v2("w1"), t1));
+      md::decode_message(second.handle(request("w1"), t1));
   ASSERT_EQ(next.kind, md::MessageKind::kShardLease);
   EXPECT_EQ(next.job, "j1");
   EXPECT_EQ(next.shard, 1u);
@@ -682,42 +708,9 @@ TEST(CoordinatorCore, RestartRebuildsDoneShardsFromTheLedgerAlone) {
             md::MessageKind::kAck);
   // ...which keeps that shard off the grant path.
   const md::Message after =
-      md::decode_message(second.handle(request_v2("w6"), t1));
+      md::decode_message(second.handle(request("w6"), t1));
   ASSERT_EQ(after.kind, md::MessageKind::kShardLease);
   EXPECT_EQ(after.shard, 3u);
-}
-
-TEST(CoordinatorCore, V1WorkersStillGetWholeJobsInAShardedCampaign) {
-  auto config = sharded_config(fresh_dir("cs_v1"));
-  const std::string ledger_path = config.state_dir + "/campaign.jsonl";
-  md::CoordinatorCore core(std::move(config));
-  const auto t0 = Clock::now();
-  // A v1 worker (no proto on its request) cannot run shard leases: it gets
-  // the whole job while no shard has made progress.
-  const md::Message whole = md::decode_message(core.handle(request("w0"), t0));
-  ASSERT_EQ(whole.kind, md::MessageKind::kLease);
-  EXPECT_EQ(whole.job, "j1");
-  // j2 goes out sharded to a v2 worker...
-  const md::Message sharded =
-      md::decode_message(core.handle(request_v2("w1"), t0));
-  ASSERT_EQ(sharded.kind, md::MessageKind::kShardLease);
-  EXPECT_EQ(sharded.job, "j2");
-  // ...after which v1 workers may not claim it whole: one wave index must
-  // never be owned under two different lease structures at once.
-  EXPECT_EQ(reply_kind(core.handle(request("w2"), t0)), md::MessageKind::kWait);
-  EXPECT_EQ(reply_kind(core.handle(heartbeat("w9", "j2"), t0 + 1s)),
-            md::MessageKind::kRevoke);
-  // The v1 whole-job path still completes normally alongside.
-  EXPECT_EQ(reply_kind(core.handle(done_result("w0", "j1", 7.25), t0 + 2s)),
-            md::MessageKind::kAck);
-  EXPECT_EQ(core.phase("j1"), md::JobPhase::kDone);
-  // A whole-job done result is accepted even for a sharded job —
-  // determinism makes it the same answer the shards would assemble to.
-  EXPECT_EQ(reply_kind(core.handle(done_result("w5", "j2", 3.5), t0 + 3s)),
-            md::MessageKind::kAck);
-  EXPECT_EQ(core.phase("j2"), md::JobPhase::kDone);
-  EXPECT_TRUE(core.finished());
-  EXPECT_TRUE(mp::audit_ledger(mp::read_ledger_file(ledger_path)).ok());
 }
 
 TEST(CoordinatorCore, HelloNegotiatesTheSupportedProtocolRange) {
@@ -725,18 +718,51 @@ TEST(CoordinatorCore, HelloNegotiatesTheSupportedProtocolRange) {
   md::Message hello;
   hello.kind = md::MessageKind::kHello;
   hello.worker = "w0";
-  hello.proto = md::kMinProtocolVersion;
-  EXPECT_EQ(reply_kind(core.handle(hello, Clock::now())),
-            md::MessageKind::kAck);
   hello.proto = md::kProtocolVersion;
   EXPECT_EQ(reply_kind(core.handle(hello, Clock::now())),
             md::MessageKind::kAck);
+  hello.proto = 1;  // protocol v1 is retired
+  EXPECT_EQ(reply_kind(core.handle(hello, Clock::now())),
+            md::MessageKind::kError);
   hello.proto = md::kProtocolVersion + 1;  // from the future
   EXPECT_EQ(reply_kind(core.handle(hello, Clock::now())),
             md::MessageKind::kError);
   hello.proto = 0;  // pre-handshake relic
   EXPECT_EQ(reply_kind(core.handle(hello, Clock::now())),
             md::MessageKind::kError);
+}
+
+TEST(CoordinatorCore, ShardedCoordinatorRefusesWholeJobResultsAndClaims) {
+  // A sharded job turns done only through its assembled shard prefix: a
+  // whole-job result frame carries no CI bounds or diagnostics.
+  auto config = sharded_config(fresh_dir("cs_whole_refused"));
+  const std::string ledger_path = config.state_dir + "/campaign.jsonl";
+  md::CoordinatorCore core(std::move(config));
+  const auto t0 = Clock::now();
+  ASSERT_EQ(reply_kind(core.handle(request("w0"), t0)),
+            md::MessageKind::kShardLease);  // j1 shard 0
+  md::Message failed = done_result("w0", "j1", 0.0);
+  failed.outcome.status = mp::JobStatus::kFailed;
+  failed.outcome.error = mpe::ErrorCode::kInternal;
+  EXPECT_EQ(reply_kind(core.handle(done_result("w0", "j1", 7.25), t0 + 1s)),
+            md::MessageKind::kError);
+  EXPECT_EQ(reply_kind(core.handle(failed, t0 + 1s)), md::MessageKind::kError);
+  EXPECT_EQ(reply_kind(core.handle(done_result("w1", "j2", 3.5), t0 + 1s)),
+            md::MessageKind::kError);
+  EXPECT_EQ(core.phase("j1"), md::JobPhase::kPending);
+  EXPECT_EQ(core.phase("j2"), md::JobPhase::kPending);
+  EXPECT_TRUE(mp::read_ledger_file(ledger_path).records.empty());
+  EXPECT_TRUE(core.take_completions().empty());
+  // A whole-job claim — held, or never granted — is revoked, not adopted.
+  EXPECT_EQ(reply_kind(core.handle(heartbeat("w0", "j1"), t0 + 2s)),
+            md::MessageKind::kRevoke);
+  EXPECT_EQ(reply_kind(core.handle(heartbeat("w1", "j2"), t0 + 2s)),
+            md::MessageKind::kRevoke);
+  EXPECT_EQ(core.phase("j2"), md::JobPhase::kPending);
+  EXPECT_EQ(core.leases_granted(), 1u);
+  // The shard claim itself is untouched.
+  EXPECT_EQ(reply_kind(core.handle(shard_heartbeat("w0", "j1", 0), t0 + 2s)),
+            md::MessageKind::kAck);
 }
 
 // ---------------------- coordinator core: persistent / fleet-executor mode
@@ -795,22 +821,6 @@ TEST(CoordinatorCore, AbandonRevokesTheLeaseAndRecordsStopped) {
   EXPECT_EQ(next.job, "j2");
 }
 
-TEST(CoordinatorCore, WholeJobFallbackOffKeepsShardedJobsOffTheV1Path) {
-  // Fleet mode: only assembled shard prefixes carry the CI bounds and
-  // diagnostics a server result line needs, so whole-job grants (and
-  // whole-claim adoption) must be refused even to v1 workers.
-  auto config = sharded_config(fresh_dir("cc_nofallback"));
-  config.whole_job_fallback = false;
-  md::CoordinatorCore core(std::move(config));
-  const auto t0 = Clock::now();
-  EXPECT_EQ(reply_kind(core.handle(request("w0"), t0)), md::MessageKind::kWait);
-  EXPECT_EQ(reply_kind(core.handle(heartbeat("w0", "j1"), t0)),
-            md::MessageKind::kRevoke);
-  // v2 workers shard-lease normally.
-  EXPECT_EQ(reply_kind(core.handle(request_v2("w1"), t0)),
-            md::MessageKind::kShardLease);
-}
-
 TEST(CoordinatorCore, AutoShardSizingTracksObservedLatencyWithinBounds) {
   auto config = two_job_config(fresh_dir("cc_autoshard"));
   config.jobs = {tiny_job("j1", 3)};
@@ -825,7 +835,7 @@ TEST(CoordinatorCore, AutoShardSizingTracksObservedLatencyWithinBounds) {
   EXPECT_EQ(core.shard_size_now(), 2u);
 
   const auto t0 = Clock::now();
-  const md::Message l0 = md::decode_message(core.handle(request_v2("w0"), t0));
+  const md::Message l0 = md::decode_message(core.handle(request("w0"), t0));
   ASSERT_EQ(l0.kind, md::MessageKind::kShardLease);
   ASSERT_EQ(l0.hi - l0.lo, 2u);  // partitioned at the pre-observation floor
   // Shard 0 finishes in 200ms -> 100ms/attempt -> target/ewma = 10.
@@ -839,7 +849,7 @@ TEST(CoordinatorCore, AutoShardSizingTracksObservedLatencyWithinBounds) {
   // 2000ms / 2 attempts = 1000ms/attempt; ewma = 0.2*1000 + 0.8*100 = 280;
   // 1000/280 -> 3.
   const auto t1 = t0 + 200ms;
-  const md::Message l1 = md::decode_message(core.handle(request_v2("w0"), t1));
+  const md::Message l1 = md::decode_message(core.handle(request("w0"), t1));
   ASSERT_EQ(l1.kind, md::MessageKind::kShardLease);
   ASSERT_EQ(reply_kind(core.handle(
                 shard_done("w0", "j1", l1.shard, l1.lo, l1.hi,
@@ -851,7 +861,7 @@ TEST(CoordinatorCore, AutoShardSizingTracksObservedLatencyWithinBounds) {
   // j1's partition was fixed at creation: its remaining shards still go out
   // at the original width even though the adaptive size moved.
   const md::Message frozen =
-      md::decode_message(core.handle(request_v2("w1"), t1 + 2100ms));
+      md::decode_message(core.handle(request("w1"), t1 + 2100ms));
   ASSERT_EQ(frozen.kind, md::MessageKind::kShardLease);
   EXPECT_EQ(frozen.job, "j1");
   EXPECT_EQ(frozen.hi - frozen.lo, 2u);
@@ -860,7 +870,7 @@ TEST(CoordinatorCore, AutoShardSizingTracksObservedLatencyWithinBounds) {
   ASSERT_TRUE(core.abandon("j1"));
   core.add_job(tiny_job("j2", 4));
   const md::Message l2 =
-      md::decode_message(core.handle(request_v2("w1"), t1 + 2100ms));
+      md::decode_message(core.handle(request("w1"), t1 + 2100ms));
   ASSERT_EQ(l2.kind, md::MessageKind::kShardLease);
   EXPECT_EQ(l2.job, "j2");
   EXPECT_EQ(l2.hi - l2.lo, 3u);

@@ -250,17 +250,9 @@ TEST(SchedEquivalence, CoordinatorShardedScenario) {
   std::ostringstream t;
   t << "-- budget=" << budget << " shards=" << shards << "\n";
 
-  // v2 workers get shard leases in ascending order across jobs.
+  // Workers get shard leases in ascending order across jobs.
   play(t, core, md::encode_request("w1"), kD0);
   play(t, core, md::encode_request("w2"), kD0 + 10ms);
-  // A v1 worker (no proto field) can only run whole jobs: s1 has shard
-  // progress, so the pristine s2 flips to whole-job mode for it.
-  {
-    const std::string v1 =
-        "{\"schema\":\"mpe.dist\",\"v\":1,\"type\":\"request\","
-        "\"worker\":\"v1w\"}";
-    play(t, core, v1, kD0 + 20ms);
-  }
   probe(t, core, {"s1", "s2"}, kD0 + 20ms);
   // Shard heartbeat renews; an unknown claim below the holder cap is
   // adopted (coordinator-restart posture), and a duplicate adoption is
@@ -269,7 +261,7 @@ TEST(SchedEquivalence, CoordinatorShardedScenario) {
   play(t, core, md::encode_shard_heartbeat("w7", "s1", 1), kD0 + 450ms);
   play(t, core, md::encode_shard_heartbeat("w7", "s1", 1), kD0 + 460ms);
   probe(t, core, {"s1", "s2"}, kD0 + 460ms);
-  // Straggler speculation: past straggler_after, an idle v2 worker gets a
+  // Straggler speculation: past straggler_after, an idle worker gets a
   // second holder slot on the oldest in-flight shard (not its own claim).
   play(t, core, md::encode_request("w3"), kD0 + 1700ms);
   // First valid shard result wins; the speculative loser is deduped.
@@ -285,9 +277,24 @@ TEST(SchedEquivalence, CoordinatorShardedScenario) {
          kD0 + 2000ms + std::chrono::milliseconds(10 * k));
   }
   probe(t, core, {"s1", "s2"}, kD0 + 3000ms);
-  // The v1 whole-job holder reports s2 done.
-  play(t, core, whole_job_result_line("v1w", "s2", 0.75), kD0 + 3100ms);
+  // A whole-job result frame is refused: a sharded job turns done only
+  // through its assembled shard prefix...
+  play(t, core, whole_job_result_line("w1", "s2", 0.75), kD0 + 3100ms);
   probe(t, core, {"s1", "s2"}, kD0 + 3100ms);
+  // ...so s2 completes through its shards.
+  for (std::size_t k = 0; k < shards; ++k) {
+    play(t, core, md::encode_request("w" + std::to_string(k + 1)),
+         kD0 + 3110ms + std::chrono::milliseconds(10 * k));
+  }
+  for (std::size_t k = 0; k < shards; ++k) {
+    play(t, core,
+         shard_done_line("w" + std::to_string(k + 1), "s2", k,
+                         k * config.shard_size,
+                         std::min<std::uint64_t>((k + 1) * config.shard_size,
+                                                 budget)),
+         kD0 + 3140ms + std::chrono::milliseconds(10 * k));
+  }
+  probe(t, core, {"s1", "s2"}, kD0 + 3170ms);
   play(t, core, md::encode_request("w1"), kD0 + 3200ms);
   summarize(t, core, dir + "/campaign.jsonl");
 

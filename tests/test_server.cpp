@@ -210,6 +210,24 @@ class Client {
     }
   }
 
+  /// Reads replies until the first event for `id` (counted in events_).
+  void await_event(const std::string& id) {
+    while (true) {
+      const auto msg = recv();
+      if (msg.kind == ms::ServerMessageKind::kEvent) {
+        ++events_;
+        if (msg.id == id) return;
+        continue;
+      }
+      if (msg.kind == ms::ServerMessageKind::kAccepted ||
+          msg.kind == ms::ServerMessageKind::kAck) {
+        continue;
+      }
+      ADD_FAILURE() << "no event for " << id << " before a terminal reply";
+      return;
+    }
+  }
+
   std::size_t events() const { return events_; }
 
  private:
@@ -524,6 +542,10 @@ TEST(ServerFleet, CancelAbandonsTheFleetJobAndAnswersStopped) {
   ASSERT_TRUE(client.alive());
   client.handshake("cancel");
   client.submit("slow", slow_job("slow"));
+  // Cancel once the worker has finished a shard of the job. Cancelled any
+  // earlier, the whole server lifetime can pass before the worker thread
+  // first dials, and the worker then never hears the drain.
+  client.await_event("slow");
   client.send(ms::encode_cancel("slow"));
   const auto result = client.await_terminal("slow");
   ASSERT_EQ(result.kind, ms::ServerMessageKind::kResult);

@@ -24,7 +24,6 @@
 // estimation winds down at the next hyper-sample boundary, the final
 // checkpoint and any report output are flushed, and the process exits with
 // the cancelled exit code (8). A second signal force-exits immediately.
-#include <sys/stat.h>
 
 #include <csignal>
 #include <cstdio>
@@ -597,11 +596,7 @@ int cmd_serve(const Cli& cli) {
   opt.tcp_host = cli.get("host", "127.0.0.1");
   if (opt.unix_socket.empty() && !opt.tcp) usage();
   opt.state_dir = cli.get("state-dir", "");
-  if (!opt.state_dir.empty() &&
-      ::mkdir(opt.state_dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    throw Error(ErrorCode::kIo, "cannot create server state directory",
-                ErrorContext{}.kv("path", opt.state_dir).str());
-  }
+  if (!opt.state_dir.empty()) util::ensure_directory(opt.state_dir);
   opt.cache_capacity = static_cast<std::size_t>(
       std::max<long long>(1, cli.get_int("cache-cap", 16)));
   opt.scheduler.max_active = static_cast<std::size_t>(
