@@ -146,10 +146,11 @@ void BM_CompiledDrawBatch(benchmark::State& state, const std::string& name,
       static_cast<std::int64_t>(state.iterations() * batch.size()));
 }
 
-// Full pipelined estimator over a bit-parallel streaming population (the
-// production configuration: every unit is freshly simulated): thread-count
-// scaling of the speculative hyper-sample waves. Items = simulated units
-// consumed by the stopping rule.
+// Full pipelined estimator over a streaming population on the backend the
+// CLI's `--sim-backend auto` selects (the compiled gate tape, else the
+// 64-lane interpreter): thread-count scaling of the speculative
+// hyper-sample waves. Items = simulated units consumed by the stopping
+// rule.
 void BM_EstimatorPipeline(benchmark::State& state) {
   const auto threads = static_cast<unsigned>(state.range(0));
   const auto& nl = preset("c7552");
@@ -158,7 +159,7 @@ void BM_EstimatorPipeline(benchmark::State& state) {
   sim::CyclePowerEvaluator eval(nl, eval_opt);
   const vec::UniformPairGenerator gen(nl.num_inputs());
   vec::StreamingPopulation pop(gen, eval);
-  pop.enable_bit_parallel();
+  if (!pop.enable_compiled()) pop.enable_bit_parallel();
   maxpower::EstimatorOptions opt;
   std::unique_ptr<util::ThreadPool> pool;
   maxpower::ParallelOptions par;
@@ -190,7 +191,7 @@ void BM_EstimatorPipelineInstrumented(benchmark::State& state) {
   sim::CyclePowerEvaluator eval(nl, eval_opt);
   const vec::UniformPairGenerator gen(nl.num_inputs());
   vec::StreamingPopulation pop(gen, eval);
-  pop.enable_bit_parallel();
+  if (!pop.enable_compiled()) pop.enable_bit_parallel();
   auto& reg = util::MetricRegistry::global();
   const bool was_enabled = reg.enabled();
   reg.enable(true);

@@ -1,20 +1,22 @@
 #!/usr/bin/env sh
 # Durability smoke test (docs/ROBUSTNESS.md): start a checkpointed
-# estimation, kill -9 it once the first checkpoint is durable, resume from
-# the checkpoint, and require the resumed run to be byte-identical (stdout
-# and exit code) to an uninterrupted run of the same configuration.
+# estimation, kill -9 it once its checkpoint (a sample log) holds at least
+# MIN_RECORDS sample records, resume from the checkpoint, and require the
+# resumed run to be byte-identical (stdout and exit code) to an
+# uninterrupted run of the same configuration.
 #
 # The test is timing-tolerant by construction: wherever the kill lands —
-# before the first checkpoint, mid-run, or after the run already finished —
+# before the first record, mid-run, or after the run already finished —
 # the re-invocation must still reproduce the uninterrupted result exactly
-# (fresh start, mid-run resume, and complete-checkpoint short-circuit are
-# all part of the resume contract).
+# (fresh start, mid-run resume, and replay of a complete log are all part
+# of the resume contract).
 #
-# usage: recovery_smoke.sh [path-to-mpe_cli] [work-dir]
+# usage: recovery_smoke.sh [path-to-mpe_cli] [work-dir] [min-records]
 set -eu
 
 CLI=${1:-build/tools/mpe_cli}
 WORK=${2:-build/recovery_smoke}
+MIN_RECORDS=${3:-1}
 
 rm -rf "$WORK"
 mkdir -p "$WORK"
@@ -30,18 +32,24 @@ $CLI $ARGS > "$WORK/reference.txt" 2> /dev/null
 REF_RC=$?
 set -e
 
-# Interrupted run: wait for the first durable checkpoint (or process exit),
-# then kill -9 without any chance to clean up.
+# Interrupted run: wait until the log holds MIN_RECORDS sample records (or
+# the process exits), then kill -9 without any chance to clean up. The
+# header line is written first, so the file alone says nothing yet.
+records() {
+  if [ -f "$CKPT" ]; then grep -c '"i":' "$CKPT" || true; else echo 0; fi
+}
 $CLI $ARGS --checkpoint "$CKPT" --checkpoint-every 1 \
   > "$WORK/interrupted.txt" 2> /dev/null &
 PID=$!
 i=0
-while [ ! -f "$CKPT" ] && kill -0 "$PID" 2> /dev/null && [ "$i" -lt 500 ]; do
+while [ "$(records)" -lt "$MIN_RECORDS" ] &&
+  kill -0 "$PID" 2> /dev/null && [ "$i" -lt 500 ]; do
   i=$((i + 1))
   sleep 0.01
 done
 kill -9 "$PID" 2> /dev/null || true
 wait "$PID" 2> /dev/null || true
+KILLED_AT=$(records)
 
 # Resume to completion and compare against the reference.
 set +e
@@ -60,4 +68,5 @@ if ! cmp -s "$WORK/reference.txt" "$WORK/resumed.txt"; then
   diff "$WORK/reference.txt" "$WORK/resumed.txt" >&2 || true
   exit 1
 fi
-echo "recovery_smoke: OK (exit $RES_RC, resumed output identical to reference)"
+echo "recovery_smoke: OK (killed at $KILLED_AT records, exit $RES_RC," \
+  "resumed output identical to reference)"

@@ -4,8 +4,9 @@
 //
 // Durability model (docs/ROBUSTNESS.md, "Durability & resume"):
 //   * Each job checkpoints its estimation run independently to
-//     <state_dir>/<job>.ckpt (maxpower/checkpoint.hpp), so a crash mid-job
-//     loses at most checkpoint_every_k hyper-samples of that one job.
+//     <state_dir>/<job>.ckpt (a sample log, maxpower/sample_log.hpp), so a
+//     crash mid-job loses at most checkpoint_every_k hyper-samples of that
+//     one job.
 //   * The campaign appends one JSONL line per finished job to the report
 //     file. Re-invoking the campaign reads the report first, skips jobs
 //     already recorded as done, retries failed ones, and resumes in-flight

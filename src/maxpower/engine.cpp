@@ -9,6 +9,7 @@
 
 #include "maxpower/checkpoint.hpp"
 #include "maxpower/run_context.hpp"
+#include "maxpower/sample_log.hpp"
 #include "maxpower/stopping.hpp"
 #include "maxpower/tail_fitter.hpp"
 #include "maxpower/unit_source.hpp"
@@ -122,23 +123,23 @@ struct Slot {
   HyperSampleResult hs;
   std::size_t index = 0;
   bool computed = false;  ///< false = abandoned by a mid-wave fault/stop
+  /// Served from a recorded prefix: counted, traced and logged by the run
+  /// that drew it, so the fold only re-derives its effect on the result.
+  bool recorded = false;
 };
 
 /// How draws are scheduled. The policy owns the draw cursor and the RNG
 /// discipline; the engine's single loop owns folding, stopping, and
 /// checkpointing. draw_wave() returns false when a draw faulted (the fault
-/// is recorded before returning); `slots` then holds the computed prefix.
+/// is recorded before returning; `slots` then holds the computed prefix) or
+/// when a replay ran out of recorded samples.
 class ExecutionPolicy {
  public:
   virtual ~ExecutionPolicy() = default;
   /// Next draw index the run would consume (== draw attempts so far).
   virtual std::size_t cursor() const = 0;
-  /// Restores checkpointed position + RNG state.
-  virtual void resume(std::uint64_t next_index, const Rng::State& state) = 0;
   /// The RNG that feeds the stopping chain's interval randomness.
   virtual Rng& interval_rng() = 0;
-  /// The RNG state a checkpoint must capture at an accept boundary.
-  virtual Rng::State checkpoint_rng_state() = 0;
   virtual bool draw_wave(UnitSource& source, const TailFitter& fitter,
                          RunContext& ctx, EstimationResult& r,
                          std::vector<Slot>& slots) = 0;
@@ -154,14 +155,7 @@ class SerialExecution final : public ExecutionPolicy {
   explicit SerialExecution(Rng& rng) : rng_(rng) {}
 
   std::size_t cursor() const override { return attempts_; }
-
-  void resume(std::uint64_t next_index, const Rng::State& state) override {
-    attempts_ = static_cast<std::size_t>(next_index);
-    rng_.set_state(state);
-  }
-
   Rng& interval_rng() override { return rng_; }
-  Rng::State checkpoint_rng_state() override { return rng_.state(); }
 
   bool draw_wave(UnitSource& source, const TailFitter& fitter,
                  RunContext& ctx, EstimationResult& r,
@@ -192,12 +186,18 @@ class SerialExecution final : public ExecutionPolicy {
 /// stream stream_seed(seed, i); waves of up to `wave` indices are computed
 /// speculatively (concurrently when the source allows), and a dedicated
 /// stream feeds the interval randomness, so the schedule is unobservable in
-/// the result.
+/// the result. A recorded prefix of samples (a checkpoint's sample log, or
+/// shard results being assembled) is served first, as one wave, before
+/// anything is drawn; with `wave` == 0 nothing is drawn at all
+/// (Engine::replay).
 class SpeculativeExecution final : public ExecutionPolicy {
  public:
-  SpeculativeExecution(std::uint64_t seed, std::size_t wave, bool concurrent,
+  SpeculativeExecution(std::uint64_t seed,
+                       const std::vector<ShardSample>& recorded,
+                       std::size_t wave, bool concurrent,
                        util::ThreadPool* pool, std::size_t max_attempts)
       : seed_(seed),
+        recorded_(recorded),
         wave_(wave),
         concurrent_(concurrent),
         pool_(pool),
@@ -205,20 +205,28 @@ class SpeculativeExecution final : public ExecutionPolicy {
         interval_rng_(stream_seed(seed, kIntervalStream)) {}
 
   std::size_t cursor() const override { return next_index_; }
-
-  void resume(std::uint64_t next_index, const Rng::State& state) override {
-    next_index_ = static_cast<std::size_t>(next_index);
-    interval_rng_.set_state(state);
-  }
-
   Rng& interval_rng() override { return interval_rng_; }
-  Rng::State checkpoint_rng_state() override { return interval_rng_.state(); }
 
   bool draw_wave(UnitSource& source, const TailFitter& fitter,
                  RunContext& ctx, EstimationResult& r,
                  std::vector<Slot>& slots) override {
-    const EstimatorOptions& options = ctx.options();
+    slots.clear();
+    const std::size_t recorded_end = std::min(recorded_.size(), max_attempts_);
+    if (next_index_ < recorded_end) {
+      for (std::size_t i = next_index_; i < recorded_end; ++i) {
+        Slot s;
+        s.hs = hyper_from_shard_sample(recorded_[i]);
+        s.index = i;
+        s.computed = true;
+        s.recorded = true;
+        slots.push_back(std::move(s));
+      }
+      last_count_ = recorded_end - next_index_;
+      return true;
+    }
     const std::size_t count = std::min(wave_, max_attempts_ - next_index_);
+    if (count == 0) return false;  // a replay, or the attempt cap reached
+    const EstimatorOptions& options = ctx.options();
     batch_.assign(count, HyperSampleResult{});
     // A computed batch entry always has units_used = n*m > 0; entries
     // abandoned by a mid-wave fault or stop keep the zero default, so the
@@ -257,7 +265,6 @@ class SpeculativeExecution final : public ExecutionPolicy {
                        .body());
     wave_span.finish();
     ++wave_number_;
-    slots.clear();
     slots.reserve(count);
     for (std::size_t j = 0; j < count; ++j) {
       Slot s;
@@ -274,6 +281,7 @@ class SpeculativeExecution final : public ExecutionPolicy {
 
  private:
   std::uint64_t seed_;
+  const std::vector<ShardSample>& recorded_;
   std::size_t wave_;
   bool concurrent_;
   util::ThreadPool* pool_;
@@ -283,47 +291,6 @@ class SpeculativeExecution final : public ExecutionPolicy {
   std::size_t last_count_ = 0;
   std::size_t wave_number_ = 0;
   std::vector<HyperSampleResult> batch_;
-};
-
-/// Replays pre-computed hyper-samples (shard results assembled by a
-/// coordinator) through the fold: one slot per wave in index order, the
-/// dedicated interval stream for the stopping chain — exactly the
-/// SpeculativeExecution RNG discipline, with the draws themselves replaced
-/// by the recorded values. Bit-identical to a live pipelined run as long as
-/// the recorded prefix covers the stopping point.
-class ReplayExecution final : public ExecutionPolicy {
- public:
-  ReplayExecution(std::uint64_t seed,
-                  const std::vector<Engine::ReplaySample>& samples)
-      : samples_(samples), interval_rng_(stream_seed(seed, kIntervalStream)) {}
-
-  std::size_t cursor() const override { return pos_; }
-
-  void resume(std::uint64_t, const Rng::State&) override {
-    throw Error(ErrorCode::kInternal, "replay runs never resume");
-  }
-
-  Rng& interval_rng() override { return interval_rng_; }
-  Rng::State checkpoint_rng_state() override { return interval_rng_.state(); }
-
-  bool draw_wave(UnitSource&, const TailFitter&, RunContext&,
-                 EstimationResult&, std::vector<Slot>& slots) override {
-    slots.clear();
-    if (pos_ >= samples_.size()) return false;  // recorded prefix exhausted
-    Slot s;
-    s.index = static_cast<std::size_t>(samples_[pos_].index);
-    s.hs = samples_[pos_].hs;
-    s.computed = true;
-    slots.push_back(std::move(s));
-    return true;
-  }
-
-  void advance_past_wave() override { ++pos_; }
-
- private:
-  const std::vector<Engine::ReplaySample>& samples_;
-  Rng interval_rng_;
-  std::size_t pos_ = 0;
 };
 
 /// UnitSource stand-in for replay: the fold never draws, so fill() is
@@ -345,30 +312,17 @@ void finalize_chain(
 }
 
 /// The one run loop both execution policies share. Loop shape, fold order,
-/// trace-event placement, and checkpoint boundaries all mirror the legacy
-/// dual implementations exactly — the golden tests pin this bit for bit.
+/// and trace-event placement mirror the legacy dual implementations
+/// exactly — the golden tests pin this bit for bit. A resumed or replayed
+/// run rebuilds its whole result (interval RNG included) by folding the
+/// recorded prefix, so it is bit-identical by construction.
 EstimationResult run_loop(UnitSource& source, const TailFitter& fitter,
                           const std::vector<std::shared_ptr<StoppingRule>>&
                               chain,
                           RunContext& ctx, ExecutionPolicy& policy) {
   const EstimatorOptions& options = ctx.options();
   EstimationResult r;
-  bool resumed = false;
-  if (ctx.checkpoint().enabled()) {
-    std::uint64_t next_index = 0;
-    Rng::State rng_state;
-    bool complete = false;
-    if (ctx.checkpoint().try_resume(r, next_index, rng_state, complete)) {
-      // A complete checkpoint is the final result of a converged run:
-      // return it without drawing anything.
-      if (complete) return r;
-      policy.resume(next_index, rng_state);
-      resumed = true;
-    }
-  }
-  // The restored diagnostics already carry the population-size note from
-  // the original run start; only a fresh run records it.
-  if (!resumed) ctx.check_source_size(source.population_size(), r);
+  ctx.check_source_size(source.population_size(), r);
 
   std::vector<Slot> slots;
   for (;;) {
@@ -381,7 +335,7 @@ EstimationResult run_loop(UnitSource& source, const TailFitter& fitter,
       if (*verdict == StopReason::kCancelled ||
           *verdict == StopReason::kDeadlineExceeded) {
         ctx.record_stop(*verdict, r);
-        ctx.checkpoint().flush();
+        ctx.checkpoint().sync();
         finalize_chain(chain, options, r, policy.interval_rng());
         return r;
       }
@@ -400,38 +354,37 @@ EstimationResult run_loop(UnitSource& source, const TailFitter& fitter,
       if (done || r.hyper_samples >= options.max_hyper_samples) {
         // Computed speculatively but never folded: count the waste so the
         // metrics show what the wave size costs.
-        ctx.note_speculation_wasted();
+        if (!s.recorded) ctx.note_speculation_wasted();
         continue;
       }
       r.diagnostics.nonfinite_units += s.hs.nonfinite_units;
-      if (!usable(options, s.hs)) {
-        ctx.record_discard(s.hs, r);
-        continue;
-      }
-      r.hyper_values.push_back(s.hs.estimate);
-      r.units_used += s.hs.units_used;
-      ++r.hyper_samples;
-      if (!s.hs.mle.converged) ++r.degenerate_fits;
-      if (s.hs.degenerate) ++r.diagnostics.degenerate_fits;
-      if (s.hs.used_pwm) ++r.diagnostics.pwm_refits;
-      if (s.hs.constant_sample) ++r.diagnostics.constant_samples;
-      for (const auto& rule : chain) {
-        if (rule->post_accept(options, r, policy.interval_rng())
-                .has_value()) {
-          done = true;
-          break;
+      if (usable(options, s.hs)) {
+        r.hyper_values.push_back(s.hs.estimate);
+        r.units_used += s.hs.units_used;
+        ++r.hyper_samples;
+        if (!s.hs.mle.converged) ++r.degenerate_fits;
+        if (s.hs.degenerate) ++r.diagnostics.degenerate_fits;
+        if (s.hs.used_pwm) ++r.diagnostics.pwm_refits;
+        if (s.hs.constant_sample) ++r.diagnostics.constant_samples;
+        for (const auto& rule : chain) {
+          if (rule->post_accept(options, r, policy.interval_rng())
+                  .has_value()) {
+            done = true;
+            break;
+          }
         }
+        if (!s.recorded) ctx.record_accept(s.hs, r);
+      } else {
+        ctx.record_discard(s.hs, s.recorded, r);
       }
-      ctx.record_accept(s.hs, r);
-      // The resume point is the index after this accept; unfolded entries
-      // later in the wave are re-drawn on resume from their per-index
-      // streams, reproducing the same values.
-      ctx.checkpoint().on_accept(r, policy.checkpoint_rng_state(),
-                                 s.index + 1, s.index, done);
+      // Every folded sample joins the log, accepted or discarded; unfolded
+      // entries later in the wave are re-drawn on resume from their
+      // per-index streams, reproducing the same values.
+      if (!s.recorded) ctx.checkpoint().append(s.index, s.hs, done);
     }
     if (done) return r;
     if (!wave_ok) {
-      ctx.checkpoint().flush();
+      ctx.checkpoint().sync();
       finalize_chain(chain, options, r, policy.interval_rng());
       return r;
     }
@@ -445,15 +398,14 @@ EstimationResult run_loop(UnitSource& source, const TailFitter& fitter,
       r.stop_reason == StopReason::kMaxHyperSamples) {
     ctx.record_redraws_exhausted(r);
   }
-  ctx.checkpoint().flush();
+  ctx.checkpoint().sync();
   finalize_chain(chain, options, r, policy.interval_rng());
   return r;
 }
 
 /// Canonical description of a non-default strategy composition, folded into
 /// the checkpoint fingerprint. Empty for the default composition, so
-/// default-path fingerprints (and thus pre-engine checkpoints) are
-/// unchanged.
+/// default-path fingerprints are unchanged.
 std::string strategy_canon(const EngineConfig& config) {
   if (config.fitter == nullptr && config.stopping.empty()) return {};
   std::string canon = "fitter=";
@@ -474,18 +426,22 @@ std::string strategy_canon(const EngineConfig& config) {
 
 EstimationResult Engine::run(UnitSource& source, Rng& rng) const {
   check_options(config_.options);
+  if (!config_.options.checkpoint_path.empty()) {
+    // Only per-index streams make a recorded prefix replayable; the shared
+    // serial stream has no resume point.
+    throw Error(ErrorCode::kPrecondition,
+                "checkpoints need the seeded (pipelined) estimator path",
+                ErrorContext{}
+                    .kv("path", config_.options.checkpoint_path)
+                    .str());
+  }
   const TailFitter& fitter =
       config_.fitter != nullptr ? *config_.fitter : default_tail_fitter();
   const auto chain =
       config_.stopping.empty() ? default_stopping_chain() : config_.stopping;
 
   RunScope scope(config_.options, source, /*parallel_path=*/false, 1);
-  RunContext ctx(config_.options,
-                 run_fingerprint(config_.options, /*base_seed=*/0,
-                                 /*parallel_path=*/false,
-                                 source.description(),
-                                 strategy_canon(config_)),
-                 /*base_seed=*/0, /*parallel_path=*/false);
+  RunContext ctx(config_.options, /*fingerprint=*/0);
   SerialExecution policy(rng);
   EstimationResult r = run_loop(source, fitter, chain, ctx, policy);
   scope.finish(r);
@@ -529,10 +485,10 @@ EstimationResult Engine::run(UnitSource& source, std::uint64_t seed,
   RunContext ctx(config_.options,
                  run_fingerprint(config_.options, seed,
                                  /*parallel_path=*/true, source.description(),
-                                 strategy_canon(config_)),
-                 seed, /*parallel_path=*/true);
+                                 strategy_canon(config_)));
+  const std::vector<ShardSample> recorded = ctx.checkpoint().open();
   SpeculativeExecution policy(
-      seed, wave, concurrent, pool,
+      seed, recorded, wave, concurrent, pool,
       config_.options.max_hyper_samples + config_.options.max_redraws);
   EstimationResult r = run_loop(source, fitter, chain, ctx, policy);
   scope.finish(r);
@@ -546,7 +502,7 @@ EstimationResult Engine::run(vec::Population& population, std::uint64_t seed,
 }
 
 EstimationResult Engine::replay(
-    std::uint64_t seed, const std::vector<ReplaySample>& samples) const {
+    std::uint64_t seed, const std::vector<ShardSample>& samples) const {
   check_options(config_.options);
   for (std::size_t i = 0; i < samples.size(); ++i) {
     if (samples[i].index != i) {
@@ -569,9 +525,11 @@ EstimationResult Engine::replay(
   options.checkpoint_path.clear();
   options.tracer = nullptr;
   options.control = util::RunControl{};
-  RunContext ctx(options, /*fingerprint=*/0, seed, /*parallel_path=*/true);
+  RunContext ctx(options, /*fingerprint=*/0);
   ReplaySource source;
-  ReplayExecution policy(seed, samples);
+  SpeculativeExecution policy(
+      seed, samples, /*wave=*/0, /*concurrent=*/false, /*pool=*/nullptr,
+      options.max_hyper_samples + options.max_redraws);
   return run_loop(source, fitter, chain, ctx, policy);
 }
 

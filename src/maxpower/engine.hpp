@@ -17,7 +17,7 @@
 // loop once. Both legacy estimate_max_power entry points are thin wrappers
 // over an Engine with the default strategy composition, and every golden is
 // bit-identical to the pre-engine implementation: same RNG consumption
-// order, same fold order, same trace events, same checkpoints.
+// order, same fold order, same trace events.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "maxpower/estimator.hpp"
+#include "maxpower/sample_log.hpp"
 
 namespace mpe::maxpower {
 
@@ -54,9 +55,9 @@ struct EngineConfig {
 /// custom stateful StoppingRules are the one exception (use one Engine per
 /// run in that case).
 ///
-/// Checkpoint compatibility: the default composition fingerprints runs
-/// exactly as the legacy entry points did, so pre-engine checkpoints
-/// resume. A non-default fitter or stopping chain folds the strategy names
+/// Checkpoints (EstimatorOptions::checkpoint_path) are sample logs keyed by
+/// the run fingerprint; a run resumes by replaying the log through the same
+/// fold. A non-default fitter or stopping chain folds the strategy names
 /// into the fingerprint — resuming a run under a different composition is a
 /// hard kPrecondition refusal, never a silently different continuation.
 class Engine {
@@ -67,7 +68,8 @@ class Engine {
   const EngineConfig& config() const { return config_; }
 
   /// Sequential reference path: one shared RNG stream, exactly the paper's
-  /// Figure-4 loop.
+  /// Figure-4 loop. It cannot resume, so a non-empty checkpoint_path is
+  /// refused with mpe::Error(kPrecondition).
   EstimationResult run(UnitSource& source, Rng& rng) const;
   EstimationResult run(vec::Population& population, Rng& rng) const;
 
@@ -80,26 +82,19 @@ class Engine {
   EstimationResult run(vec::Population& population, std::uint64_t seed,
                        const ParallelOptions& parallel = {}) const;
 
-  /// One pre-computed hyper-sample for replay(): the draw for wave index
-  /// `index` of the stream_seed(seed, index) RNG stream, as produced by
-  /// draw_hyper_sample. Whether it was usable is re-derived by the fold.
-  struct ReplaySample {
-    HyperSampleResult hs;
-    std::uint64_t index = 0;
-  };
-
   /// Re-runs the fold + stopping chain over hyper-samples computed
-  /// elsewhere (e.g. shard workers on other hosts). `samples` must be the
+  /// elsewhere (shard workers on other hosts). `samples` must be the
   /// contiguous index-ordered prefix 0..samples.size()-1 of the pipelined
   /// run's draw sequence for `seed`; the result is then bit-identical to
   /// run(source, seed, ...) whenever the recorded prefix covers the point
   /// where that run stops (convergence, budget, or redraw exhaustion).
   /// If the prefix runs out earlier, the returned partial result is a
   /// probe: not converged and not budget-terminal, and callers must
-  /// discard it. Checkpointing, tracing, and run control are disabled —
-  /// replay is a pure deterministic fold.
+  /// discard it. Checkpointing, tracing, run control and the hyper-sample
+  /// counters are off — replay is a pure deterministic fold, the same one
+  /// a checkpointed run uses to resume.
   EstimationResult replay(std::uint64_t seed,
-                          const std::vector<ReplaySample>& samples) const;
+                          const std::vector<ShardSample>& samples) const;
 
  private:
   EngineConfig config_;

@@ -71,22 +71,24 @@ struct EstimatorOptions {
   /// schema). The tracer must outlive the call.
   util::Tracer* tracer = nullptr;
   /// Durable run state (docs/ROBUSTNESS.md, "Durability & resume"). When
-  /// non-empty, the estimator checkpoints the run to this path after
-  /// accepted hyper-samples via the atomic tmp+fsync+rename pattern, and on
-  /// entry resumes from an existing checkpoint instead of re-simulating the
-  /// completed prefix: the resumed run's EstimationResult is bit-identical
-  /// to an uninterrupted run at any thread count. A checkpoint written by a
-  /// different configuration (fingerprint mismatch) raises
-  /// mpe::Error(kPrecondition); a corrupt one raises kCorruptData — never a
-  /// silently wrong resume. Budget fields (max_hyper_samples, RunControl)
-  /// are outside the fingerprint, so a stopped run can be resumed with a
-  /// bigger budget. Empty (the default) disables checkpointing entirely.
+  /// non-empty, a seeded run logs every hyper-sample its fold visits to
+  /// this path as a sample log (maxpower/sample_log.hpp), and on entry
+  /// resumes from an existing log by replaying it instead of re-simulating
+  /// the completed prefix: the resumed run's EstimationResult is
+  /// bit-identical to an uninterrupted run at any thread count. A log
+  /// written by a different configuration (fingerprint mismatch) raises
+  /// mpe::Error(kPrecondition); one without a valid header raises
+  /// kCorruptData — never a silently wrong resume. Budget fields
+  /// (max_hyper_samples, RunControl) are outside the fingerprint, so a
+  /// stopped run can be resumed with a bigger budget. The serial (Rng&)
+  /// path cannot resume and refuses a non-empty path with kPrecondition.
+  /// Empty (the default) disables checkpointing entirely.
   std::string checkpoint_path;
-  /// Accepted hyper-samples between checkpoint writes. 1 (the default)
-  /// persists every accept — maximal durability, and still negligible next
-  /// to the n*m simulations behind each hyper-sample. Larger values trade
-  /// re-simulated work after a crash for fewer writes. The final state
-  /// (converged, or the last accept before a stop) is always flushed.
+  /// Folded hyper-samples (accepted or discarded) between fsyncs of the
+  /// log. 1 (the default) syncs every record — maximal durability, and
+  /// still negligible next to the n*m simulations behind each
+  /// hyper-sample. Larger values trade re-simulated work after a crash for
+  /// fewer syncs. Convergence and every stop always sync.
   std::size_t checkpoint_every_k = 1;
 };
 

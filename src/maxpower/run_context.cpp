@@ -1,8 +1,9 @@
 #include "maxpower/run_context.hpp"
 
+#include <algorithm>
+#include <string>
 #include <utility>
 
-#include "util/atomic_file.hpp"
 #include "util/jsonl.hpp"
 
 namespace mpe::maxpower {
@@ -33,81 +34,53 @@ EstimatorMetrics& estimator_metrics() {
 
 }  // namespace detail
 
-CheckpointSink::CheckpointSink(const EstimatorOptions& options,
-                               std::uint64_t fingerprint,
-                               std::uint64_t base_seed, bool parallel_path)
-    : options_(options), enabled_(!options.checkpoint_path.empty()) {
-  if (!enabled_) return;
-  snapshot_.fingerprint = fingerprint;
-  snapshot_.base_seed = base_seed;
-  snapshot_.parallel_path = parallel_path;
+std::vector<ShardSample> CheckpointSink::open() {
+  const std::string& path = options_.checkpoint_path;
+  if (path.empty()) return {};
+  const std::string key = std::to_string(fingerprint_);
+  SampleLog log = load_sample_log(path, key);
+  switch (log.state) {
+    case SampleLogState::kAbsent:
+      create_sample_log(path, key);
+      break;
+    case SampleLogState::kCorrupt:
+      throw Error(ErrorCode::kCorruptData,
+                  "checkpoint has no valid sample-log header; refusing to "
+                  "resume",
+                  ErrorContext{}.kv("path", path).str());
+    case SampleLogState::kForeign:
+      throw Error(ErrorCode::kPrecondition,
+                  "checkpoint was written by a different run configuration; "
+                  "refusing to resume",
+                  ErrorContext{}
+                      .kv("path", path)
+                      .kv("expected_fingerprint", key)
+                      .kv("found_fingerprint", log.found_key)
+                      .str());
+    case SampleLogState::kLoaded:
+      if (options_.tracer != nullptr) {
+        options_.tracer->event(
+            "run_resumed",
+            util::JsonFields{}.add("replayed", log.prefix.size()).body());
+      }
+      break;
+  }
+  writer_.emplace(path);
+  return std::move(log.prefix);
 }
 
-bool CheckpointSink::try_resume(EstimationResult& r, std::uint64_t& next_index,
-                                Rng::State& rng_state, bool& complete) {
-  if (!enabled_ || !util::file_exists(options_.checkpoint_path)) {
-    return false;
-  }
-  RunCheckpoint loaded = load_checkpoint_file(options_.checkpoint_path);
-  if (loaded.fingerprint != snapshot_.fingerprint ||
-      loaded.parallel_path != snapshot_.parallel_path) {
-    throw Error(ErrorCode::kPrecondition,
-                "checkpoint was written by a different run configuration; "
-                "refusing to resume",
-                ErrorContext{}
-                    .kv("path", options_.checkpoint_path)
-                    .kv("expected_fingerprint", snapshot_.fingerprint)
-                    .kv("found_fingerprint", loaded.fingerprint)
-                    .str());
-  }
-  r = std::move(loaded.result);
-  next_index = loaded.next_index;
-  rng_state = loaded.rng;
-  complete = loaded.complete;
-  snapshot_.accepted_indices = std::move(loaded.accepted_indices);
-  if (options_.tracer != nullptr) {
-    options_.tracer->event("run_resumed",
-                           util::JsonFields{}
-                               .add("hyper_samples", r.hyper_samples)
-                               .add("next_index", next_index)
-                               .add("complete", complete)
-                               .body());
-  }
-  return true;
-}
-
-void CheckpointSink::on_accept(const EstimationResult& r,
-                               const Rng::State& rng_state,
-                               std::uint64_t next_index,
-                               std::uint64_t sample_index, bool complete) {
-  if (!enabled_) return;
-  snapshot_.accepted_indices.push_back(sample_index);
-  snapshot_.result = r;
-  snapshot_.rng = rng_state;
-  snapshot_.next_index = next_index;
-  snapshot_.complete = complete;
-  dirty_ = true;
-  ++accepts_since_write_;
+void CheckpointSink::append(std::size_t index, const HyperSampleResult& hs,
+                            bool converged) {
+  if (!writer_) return;
+  writer_->append(shard_sample_from_hyper(index, hs));
   const std::size_t every =
-      options_.checkpoint_every_k > 0 ? options_.checkpoint_every_k : 1;
-  if (complete || accepts_since_write_ >= every) write();
+      std::max<std::size_t>(1, options_.checkpoint_every_k);
+  if (converged || writer_->pending() >= every) writer_->sync();
 }
 
-void CheckpointSink::flush() {
-  if (enabled_ && dirty_) write();
+void CheckpointSink::sync() {
+  if (writer_) writer_->sync();
 }
-
-void CheckpointSink::write() {
-  save_checkpoint_file(options_.checkpoint_path, snapshot_);
-  dirty_ = false;
-  accepts_since_write_ = 0;
-}
-
-RunContext::RunContext(const EstimatorOptions& options,
-                       std::uint64_t fingerprint, std::uint64_t base_seed,
-                       bool parallel_path)
-    : options_(options),
-      checkpoint_(options, fingerprint, base_seed, parallel_path) {}
 
 void RunContext::check_source_size(std::optional<std::size_t> population_size,
                                    EstimationResult& r) const {
@@ -145,9 +118,8 @@ void RunContext::record_accept(const HyperSampleResult& hs,
   }
 }
 
-void RunContext::record_discard(const HyperSampleResult& hs,
+void RunContext::record_discard(const HyperSampleResult& hs, bool recorded,
                                 EstimationResult& r) const {
-  detail::estimator_metrics().hyper_discarded.inc();
   ++r.diagnostics.discarded_hyper_samples;
   r.diagnostics.note(
       Severity::kWarning,
@@ -158,6 +130,8 @@ void RunContext::record_discard(const HyperSampleResult& hs,
           .kv("nonfinite_units", hs.nonfinite_units)
           .kv("estimate", hs.estimate)
           .str());
+  if (recorded) return;
+  detail::estimator_metrics().hyper_discarded.inc();
   if (options_.tracer != nullptr) {
     options_.tracer->event("hyper_sample_discarded",
                            util::JsonFields{}

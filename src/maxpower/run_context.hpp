@@ -1,23 +1,25 @@
 // RunContext — the engine's cross-cutting services, threaded through the
 // run loop once instead of hand-woven into each execution path: structured
 // tracing (util::Tracer), the global metric handles, durable checkpointing
-// (CheckpointSink), and the structured-diagnostics recording helpers. The
+// (CheckpointSink, an append-only sample log), and the
+// structured-diagnostics recording helpers. The
 // engine owns exactly one RunContext per run; strategies never touch these
 // services directly, which is what keeps a new fitter or stopping rule a
 // ~50-line class instead of a cross-cutting change.
 //
 // Contract (docs/ARCHITECTURE.md): RunContext is a pure *observer and
 // recorder* — its methods append diagnostics, emit trace events, bump
-// metrics, and persist snapshots, but never change the value sequence of a
-// run. Goldens are bit-identical with tracing/metrics/checkpointing on or
-// off.
+// metrics, and append sample records, but never change the value sequence
+// of a run. Goldens are bit-identical with tracing/metrics/checkpointing on
+// or off.
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <optional>
+#include <vector>
 
-#include "maxpower/checkpoint.hpp"
 #include "maxpower/estimator.hpp"
+#include "maxpower/sample_log.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
 
@@ -47,52 +49,36 @@ EstimatorMetrics& estimator_metrics();
 
 }  // namespace detail
 
-/// Durable-run-state hook shared by both execution policies. Inert (every
+/// Durable run state of the pipelined path: the run's sample log
+/// (maxpower/sample_log.hpp), keyed by its run_fingerprint(). Inert (every
 /// call a no-op) when EstimatorOptions::checkpoint_path is empty, so the
-/// checkpoint feature costs one branch per accept when disabled. When
-/// enabled it captures a full state snapshot at every accept boundary —
-/// result, loop/interval RNG state, next stream index — and persists every
-/// k-th one atomically; stop paths flush the latest snapshot so a resumed
-/// run never loses an accepted hyper-sample to a graceful stop.
+/// feature costs one branch per folded sample when disabled.
 class CheckpointSink {
  public:
-  /// `fingerprint` is run_fingerprint() over the owning run's configuration
-  /// (including any non-default strategy composition).
-  CheckpointSink(const EstimatorOptions& options, std::uint64_t fingerprint,
-                 std::uint64_t base_seed, bool parallel_path);
+  CheckpointSink(const EstimatorOptions& options, std::uint64_t fingerprint)
+      : options_(options), fingerprint_(fingerprint) {}
 
-  bool enabled() const { return enabled_; }
+  /// Opens the log and returns the recorded samples to replay — empty for
+  /// a fresh run, whose header is written here. Throws mpe::Error
+  /// (kCorruptData) when the file has no valid header and (kPrecondition)
+  /// when it belongs to a different run configuration: resuming the wrong
+  /// state silently is never an option.
+  std::vector<ShardSample> open();
 
-  /// Loads an existing checkpoint into (`r`, `next_index`, `rng_state`).
-  /// Returns false when there is no checkpoint (fresh run). Throws
-  /// mpe::Error(kPrecondition) when the file belongs to a different run
-  /// configuration, kCorruptData/kParse/kIo when it is unusable — resuming
-  /// the wrong state silently is never an option.
-  bool try_resume(EstimationResult& r, std::uint64_t& next_index,
-                  Rng::State& rng_state, bool& complete);
+  /// Logs one newly drawn sample the fold visited, accepted or discarded;
+  /// syncs every checkpoint_every_k records and when the run `converged`.
+  void append(std::size_t index, const HyperSampleResult& hs,
+              bool converged);
 
-  /// Captures the accept-boundary snapshot: `r` immediately after the
-  /// accept, the loop/interval RNG at that instant, the next index the
-  /// resumed loop should consume, and the index that produced this
-  /// hyper-sample. Persists every k-th accept, and always when the run just
-  /// converged (`complete`).
-  void on_accept(const EstimationResult& r, const Rng::State& rng_state,
-                 std::uint64_t next_index, std::uint64_t sample_index,
-                 bool complete);
-
-  /// Persists the newest captured snapshot if it has not been written yet.
-  /// Called on every non-converged exit (deadline, cancel, fault, budget)
-  /// so resumable state is on disk before the partial result is returned.
-  void flush();
+  /// Syncs pending records. Called on every non-converged exit (deadline,
+  /// cancel, fault, budget) so a resumed run never loses a sample to a
+  /// graceful stop.
+  void sync();
 
  private:
-  void write();
-
   const EstimatorOptions& options_;
-  bool enabled_ = false;
-  bool dirty_ = false;
-  std::size_t accepts_since_write_ = 0;
-  RunCheckpoint snapshot_;
+  std::uint64_t fingerprint_;
+  std::optional<SampleLogWriter> writer_;
 };
 
 /// Per-run bundle of cross-cutting services plus the recording helpers the
@@ -100,8 +86,8 @@ class CheckpointSink {
 /// and tracer — both must outlive the run.
 class RunContext {
  public:
-  RunContext(const EstimatorOptions& options, std::uint64_t fingerprint,
-             std::uint64_t base_seed, bool parallel_path);
+  RunContext(const EstimatorOptions& options, std::uint64_t fingerprint)
+      : options_(options), checkpoint_(options, fingerprint) {}
 
   const EstimatorOptions& options() const { return options_; }
   util::Tracer* tracer() const { return options_.tracer; }
@@ -120,8 +106,11 @@ class RunContext {
                      const EstimationResult& r) const;
 
   /// Records a hyper-sample that could not be folded in (invalid draw, or
-  /// degenerate fit under DegenerateFitPolicy::kDiscardRedraw).
-  void record_discard(const HyperSampleResult& hs, EstimationResult& r) const;
+  /// degenerate fit under DegenerateFitPolicy::kDiscardRedraw). A
+  /// `recorded` one (replayed from a sample log or shard results) only adds
+  /// its diagnostics note: the run that drew it counted and traced it.
+  void record_discard(const HyperSampleResult& hs, bool recorded,
+                      EstimationResult& r) const;
 
   /// Records a deadline/cancellation stop (partial result).
   void record_stop(StopReason reason, EstimationResult& r) const;

@@ -13,12 +13,12 @@
 // results is the ledger's job (maxpower/ledger, job:shard keyed records);
 // this module only has to be idempotent, which determinism gives for free.
 //
-// Shard checkpoints are sealed JSONL ("mpe.shard" header + one record per
-// computed index) under <state_dir>/<job>.shard<k>.ckpt. Two speculating
-// workers may append to the same file concurrently: records are
-// deduplicated by index on load (identical bytes for one index, since the
-// values are deterministic) and any torn or interleaved line fails its CRC
-// and is simply recomputed.
+// Shard checkpoints are sample logs (maxpower/sample_log.hpp, keyed by the
+// job, shard, range and spec) under <state_dir>/<job>.shard<k>.ckpt. Two
+// speculating workers may append to the same file concurrently: records
+// are deduplicated by index on load (identical bytes for one index, since
+// the values are deterministic) and any torn or interleaved line fails its
+// CRC and is simply recomputed.
 #pragma once
 
 #include <cstdint>
@@ -27,41 +27,9 @@
 #include <vector>
 
 #include "maxpower/campaign.hpp"
+#include "maxpower/sample_log.hpp"
 
 namespace mpe::maxpower {
-
-/// One computed hyper-sample of a shard: the slice of HyperSampleResult the
-/// engine fold actually consumes (estimate, units, validity flags), keyed
-/// by its wave index. Doubles survive the JSON round trip bit-exactly
-/// (util/jsonl shortest round-trippable rendering).
-struct ShardSample {
-  std::uint64_t index = 0;
-  double estimate = 0.0;
-  std::uint64_t units = 0;            ///< units_used (n*m)
-  std::uint64_t nonfinite_units = 0;  ///< non-finite unit values sanitized
-  bool valid = false;
-  bool degenerate = false;
-  bool used_pwm = false;
-  bool constant_sample = false;
-  bool mle_converged = false;
-
-  bool operator==(const ShardSample&) const = default;
-};
-
-/// Projects a drawn hyper-sample onto the fold-relevant slice.
-ShardSample shard_sample_from_hyper(std::uint64_t index,
-                                    const HyperSampleResult& hs);
-
-/// Inverse of shard_sample_from_hyper for replay: fields the fold never
-/// reads keep their defaults.
-Engine::ReplaySample replay_sample(const ShardSample& s);
-
-/// JSON array codec for shard-sample sequences — the wire payload of
-/// shard-result messages and the ledger's shard records. Element form:
-/// {"i":index,"est":estimate,"u":units,["nfu":n,]"f":flags}.
-std::string encode_shard_samples(const std::vector<ShardSample>& samples);
-/// Throws mpe::Error(kParse/kBadData) on malformed input.
-std::vector<ShardSample> decode_shard_samples(std::string_view json_array);
 
 /// Total wave-index budget of one job: the pipelined run never draws past
 /// max_hyper_samples + max_redraws attempts, so shards partition

@@ -78,9 +78,8 @@ class Rng {
 
   /// Complete serializable generator state: the four xoshiro words plus the
   /// cached spare normal. Restoring it makes the generator continue the
-  /// exact output sequence from the capture point — the mechanism that lets
-  /// a resumed estimation run stay bit-identical to an uninterrupted one
-  /// (maxpower/checkpoint).
+  /// exact output sequence from the capture point; comparing two states
+  /// shows whether two generators consumed identically.
   struct State {
     std::array<std::uint64_t, 4> s{};
     double spare_normal = 0.0;
@@ -93,7 +92,7 @@ class Rng {
     spare_normal_ = state.spare_normal;
     has_spare_ = state.has_spare;
     // All-zero xoshiro state would lock the generator at zero forever; a
-    // corrupt checkpoint must not be able to smuggle it in.
+    // corrupt saved state must not be able to smuggle it in.
     if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
   }
 

@@ -87,10 +87,12 @@ std::uint64_t nonneg_number_or(const JsonValue& v, std::string_view key,
     throw Error(ErrorCode::kBadData, "message field must be a number",
                 ErrorContext{}.kv("field", key).str());
   }
+  // 2^64 and above cannot be cast to uint64_t without undefined behavior.
+  constexpr double kTwoTo64 = 18446744073709551616.0;
   const double raw = field->as_number();
-  if (!std::isfinite(raw) || raw < 0.0) {
+  if (!std::isfinite(raw) || raw < 0.0 || raw >= kTwoTo64) {
     throw Error(ErrorCode::kBadData,
-                "message field must be a non-negative finite number",
+                "message field must be a non-negative number below 2^64",
                 ErrorContext{}.kv("field", key).str());
   }
   return static_cast<std::uint64_t>(raw);

@@ -45,8 +45,8 @@ std::string optional_string(const JsonValue& v, std::string_view key,
 /// Unchecked numeric cast (trusted-peer protocols).
 std::uint64_t number_or(const JsonValue& v, std::string_view key,
                         std::uint64_t fallback);
-/// Rejects negative and non-finite values before the cast (client-facing
-/// protocols, where a hostile -1 must not wrap).
+/// Rejects negative, non-finite and >= 2^64 values before the cast
+/// (client-facing protocols, where a hostile -1 or 1e300 must not wrap).
 std::uint64_t nonneg_number_or(const JsonValue& v, std::string_view key,
                                std::uint64_t fallback);
 std::uint64_t required_number(const JsonValue& v, std::string_view key);

@@ -226,6 +226,14 @@ TEST(ServerProtocolFuzz, OutOfRangeValuesAreRejected) {
       ms::decode_server_message(
           R"({"schema":"mpe.server","v":1,"type":"hello","client":"c","proto":-1})"),
       Error);
+  // 2^64 and beyond do not fit an unsigned field: refused, never cast.
+  for (const std::string seq : {"18446744073709551616", "1e300"}) {
+    EXPECT_THROW(ms::decode_server_message(
+                     R"({"schema":"mpe.server","v":1,"type":"event","id":"a",)"
+                     R"("seq":)" + seq + R"(,"name":"n"})"),
+                 Error)
+        << seq;
+  }
 }
 
 TEST(ServerProtocolFuzz, TruncatedFramesNeverCrash) {

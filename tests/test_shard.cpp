@@ -17,6 +17,7 @@
 #include "maxpower/ledger.hpp"
 #include "maxpower/shard.hpp"
 #include "util/atomic_file.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -120,6 +121,29 @@ TEST(ShardCodec, RoundTripsBitExactlyIncludingNonFiniteEstimates) {
   EXPECT_THROW((void)mp::decode_shard_samples(R"([{"i":1}])"), mpe::Error);
 }
 
+TEST(ShardCodec, RejectsOutOfRangeNumbersInsteadOfCastingThem) {
+  // Worker frames are decoded with this codec: a number that does not fit
+  // its field exactly must be refused, not wrapped, truncated or rounded
+  // into a plausible-looking index, unit count or flag set.
+  struct Case {
+    const char* what;
+    const char* element;
+  };
+  for (const Case& c : {
+           Case{"negative index", R"({"i":-1,"est":1.5,"u":300,"f":1})"},
+           Case{"huge units", R"({"i":0,"est":1.5,"u":1e300,"f":1})"},
+           Case{"fractional index", R"({"i":2.5,"est":1.5,"u":300,"f":1})"},
+           Case{"flags past 0x1f", R"({"i":0,"est":1.5,"u":300,"f":4097})"},
+       }) {
+    try {
+      (void)mp::decode_shard_samples(std::string("[") + c.element + "]");
+      ADD_FAILURE() << c.what << " decoded";
+    } catch (const mpe::Error& e) {
+      EXPECT_EQ(e.code(), mpe::ErrorCode::kBadData) << c.what;
+    }
+  }
+}
+
 // ------------------------------------------------- compute + assemble == run
 
 TEST(ShardAssembly, EveryShardSizeReproducesTheSingleProcessRunExactly) {
@@ -179,6 +203,25 @@ TEST(ShardAssembly, NonContiguousPrefixThrows) {
   auto all = compute_all_shards(job, 8, dir);
   all.erase(all.begin() + 2);  // hole at index 2
   EXPECT_THROW((void)mp::assemble_job(job, all), mpe::Error);
+}
+
+TEST(ShardAssembly, AssemblyAddsNothingToTheHyperSampleCounters) {
+  // The workers counted these samples when they drew them; folding them
+  // again in the assembling process must not count them twice.
+  const mp::CampaignJob job = tiny_job("count", 3);
+  const auto all = compute_all_shards(job, 8, fresh_dir("shard_count"));
+  auto& reg = mpe::util::MetricRegistry::global();
+  reg.enable(true);
+  const auto before = reg.snapshot();
+  const mp::AssembledJob assembled = mp::assemble_job(job, all);
+  const auto after = reg.snapshot();
+  reg.enable(false);
+  ASSERT_TRUE(assembled.terminal);
+  ASSERT_GT(assembled.result.hyper_samples, 0u);
+  for (const char* series : {"mpe_estimator_hyper_samples_total",
+                             "mpe_estimator_hyper_discarded_total"}) {
+    EXPECT_EQ(after.value(series), before.value(series)) << series;
+  }
 }
 
 // -------------------------------------------------------------- checkpoints

@@ -236,8 +236,8 @@ int cmd_estimate(const Cli& cli) {
   }
   // SIGINT/SIGTERM wind the run down cooperatively (see file header).
   options.control.cancel = g_cancel;
-  // Durable run state: --checkpoint FILE persists progress atomically and
-  // resumes from an existing checkpoint (docs/ROBUSTNESS.md).
+  // Durable run state: --checkpoint FILE logs every finished hyper-sample
+  // and resumes by replaying an existing log (docs/ROBUSTNESS.md).
   options.checkpoint_path = cli.get("checkpoint", "");
   if (cli.has("checkpoint-every")) {
     options.checkpoint_every_k = static_cast<std::size_t>(
@@ -254,9 +254,10 @@ int cmd_estimate(const Cli& cli) {
   if (tracer.enabled()) options.tracer = &tracer;
   if (!metrics_out.empty()) util::MetricRegistry::global().enable(true);
 
-  // --threads selects the pipelined estimator (bit-identical across thread
-  // counts, so a checkpoint taken at --threads 8 resumes at --threads 1 and
-  // vice versa); without it the sequential reference path runs.
+  // --threads or --checkpoint selects the pipelined estimator, the only
+  // path that can resume (bit-identical across thread counts, so a
+  // checkpoint taken at --threads 8 resumes at --threads 1 and vice versa);
+  // without either the sequential reference path runs.
   engine_cfg.options = options;
   const maxpower::Engine engine(engine_cfg);
   maxpower::EstimationResult r;
