@@ -1,7 +1,6 @@
 #include "maxpower/campaign.hpp"
 
 #include <map>
-#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -12,11 +11,10 @@
 #include "maxpower/ledger.hpp"
 #include "maxpower/stopping.hpp"
 #include "maxpower/tail_fitter.hpp"
-#include "sim/power_eval.hpp"
+#include "sim/delay.hpp"
 #include "util/atomic_file.hpp"
 #include "util/jsonl.hpp"
 #include "util/rng.hpp"
-#include "vectors/generators.hpp"
 
 namespace mpe::maxpower {
 
@@ -42,61 +40,6 @@ std::string string_field(const util::JsonValue& obj, std::string_view key,
                 ErrorContext{}.kv("field", key).kv("line", line_no).str());
   }
   return v->as_string();
-}
-
-/// Everything a built-in job's population stands on; kept alive for the
-/// whole job so retry attempts share one population (and its fault
-/// counters, when tests decorate it).
-struct JobRuntime {
-  std::unique_ptr<circuit::Netlist> netlist;
-  std::unique_ptr<sim::CyclePowerEvaluator> evaluator;
-  std::unique_ptr<vec::PairGenerator> pairs;
-  std::unique_ptr<vec::StreamingPopulation> streaming;
-  vec::Population* population = nullptr;  ///< the one the estimator sees
-};
-
-JobRuntime build_runtime(const CampaignJob& job) {
-  JobRuntime rt;
-  if (job.population != nullptr) {
-    rt.population = job.population;
-    return rt;
-  }
-  if (!job.bench.empty()) {
-    rt.netlist = std::make_unique<circuit::Netlist>(
-        circuit::read_bench_file(job.bench));
-  } else if (!job.verilog.empty()) {
-    rt.netlist = std::make_unique<circuit::Netlist>(
-        circuit::read_verilog_file(job.verilog));
-  } else {
-    rt.netlist = std::make_unique<circuit::Netlist>(
-        gen::build_preset(job.circuit.empty() ? "c432" : job.circuit,
-                          job.seed));
-  }
-  sim::PowerEvalOptions eval_opt;
-  if (job.delay == "zero") {
-    eval_opt.delay_model = sim::DelayModel::kZero;
-  } else if (job.delay == "unit") {
-    eval_opt.delay_model = sim::DelayModel::kUnit;
-  }  // empty / "loaded" keep the kFanoutLoaded default
-  rt.evaluator =
-      std::make_unique<sim::CyclePowerEvaluator>(*rt.netlist, eval_opt);
-  if (job.activity >= 0.0) {
-    rt.pairs = std::make_unique<vec::HighActivityPairGenerator>(
-        rt.netlist->num_inputs(), job.activity);
-  } else {
-    rt.pairs = std::make_unique<vec::TransitionProbPairGenerator>(
-        rt.netlist->num_inputs(), job.tprob);
-  }
-  rt.streaming =
-      std::make_unique<vec::StreamingPopulation>(*rt.pairs, *rt.evaluator);
-  // Zero-delay jobs take the fastest batched backend available; backends
-  // are result-invariant for a seed, so this never perturbs a golden.
-  if (eval_opt.delay_model == sim::DelayModel::kZero &&
-      !rt.streaming->enable_compiled()) {
-    rt.streaming->enable_bit_parallel();
-  }
-  rt.population = rt.streaming.get();
-  return rt;
 }
 
 CampaignJob parse_campaign_job_object(const util::JsonValue& v,
@@ -150,8 +93,7 @@ CampaignJob parse_campaign_job_object(const util::JsonValue& v,
                     .kv("line", line_no).str());
   }
   job.delay = string_field(v, "delay", line_no);
-  if (!job.delay.empty() && job.delay != "zero" && job.delay != "unit" &&
-      job.delay != "loaded") {
+  if (!job.delay.empty() && !sim::delay_model_from_name(job.delay)) {
     throw Error(ErrorCode::kBadData,
                 "unknown delay model (want zero | unit | loaded)",
                 ErrorContext{}.kv("delay", job.delay)
@@ -205,12 +147,60 @@ EngineConfig campaign_engine_config(const CampaignJob& job) {
   return cfg;
 }
 
-CampaignJobRuntime build_campaign_runtime(const CampaignJob& job) {
-  auto rt = std::make_shared<JobRuntime>(build_runtime(job));
-  CampaignJobRuntime out;
-  out.population = rt->population;
-  out.keepalive = std::move(rt);
-  return out;
+JobCircuit::JobCircuit(circuit::Netlist netlist)
+    : netlist_(std::move(netlist)) {}
+
+std::shared_ptr<const sim::GateProgram> JobCircuit::program(
+    const sim::Technology& tech) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!program_) program_ = sim::GateProgram::compile(netlist_, tech);
+  return program_;
+}
+
+bool JobCircuit::compiled() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return program_ != nullptr;
+}
+
+circuit::Netlist load_job_netlist(const CampaignJob& job) {
+  if (!job.bench.empty()) return circuit::read_bench_file(job.bench);
+  if (!job.verilog.empty()) return circuit::read_verilog_file(job.verilog);
+  return gen::build_preset(job.circuit.empty() ? "c432" : job.circuit,
+                           job.seed);
+}
+
+JobStack build_job_stack(const CampaignJob& job,
+                         std::shared_ptr<const JobCircuit> circuit) {
+  JobStack s;
+  if (job.population != nullptr) {
+    s.population = job.population;
+    return s;
+  }
+  s.circuit = circuit != nullptr
+                  ? std::move(circuit)
+                  : std::make_shared<const JobCircuit>(load_job_netlist(job));
+  const circuit::Netlist& netlist = s.circuit->netlist();
+  sim::PowerEvalOptions eval_opt;
+  eval_opt.delay_model = sim::delay_model_from_name(job.delay)
+                             .value_or(sim::DelayModel::kFanoutLoaded);
+  s.evaluator = std::make_unique<sim::CyclePowerEvaluator>(netlist, eval_opt);
+  if (job.activity >= 0.0) {
+    s.pairs = std::make_unique<vec::HighActivityPairGenerator>(
+        netlist.num_inputs(), job.activity);
+  } else {
+    s.pairs = std::make_unique<vec::TransitionProbPairGenerator>(
+        netlist.num_inputs(), job.tprob);
+  }
+  s.streaming =
+      std::make_unique<vec::StreamingPopulation>(*s.pairs, *s.evaluator);
+  // Zero-delay jobs take the compiled tape (the circuit's shared one);
+  // backends are result-invariant for a seed, so this never perturbs a
+  // golden.
+  if (eval_opt.delay_model == sim::DelayModel::kZero) {
+    s.streaming->enable_compiled_with(s.circuit->program(eval_opt.tech));
+  }
+  s.population = s.streaming.get();
+  return s;
 }
 
 bool valid_campaign_job_name(const std::string& name) {
@@ -323,10 +313,11 @@ std::string campaign_record_line(const CampaignJobOutcome& outcome) {
   return seal_ledger_line(f.object());
 }
 
-CampaignJobOutcome run_campaign_job(CampaignJob& job,
-                                    const JobRunOptions& options,
-                                    Rng& jitter_rng) {
-  CampaignJobOutcome outcome;
+JobRun run_job(const CampaignJob& job, const JobRunOptions& options,
+               Rng& jitter_rng, std::shared_ptr<const JobCircuit> circuit,
+               util::Tracer* tracer) {
+  JobRun run;
+  CampaignJobOutcome& outcome = run.outcome;
   outcome.name = job.name;
 
   EngineConfig cfg = campaign_engine_config(job);
@@ -338,8 +329,11 @@ CampaignJobOutcome run_campaign_job(CampaignJob& job,
           cfg.options.control.deadline.remaining()) {
     cfg.options.control.deadline = options.job_deadline;
   }
-  cfg.options.checkpoint_path = options.state_dir + "/" + job.name + ".ckpt";
+  if (!options.state_dir.empty()) {
+    cfg.options.checkpoint_path = options.state_dir + "/" + job.name + ".ckpt";
+  }
   cfg.options.checkpoint_every_k = options.checkpoint_every_k;
+  cfg.options.tracer = tracer;
   const Engine engine(cfg);
   ParallelOptions par;
   par.threads = options.threads;
@@ -347,51 +341,53 @@ CampaignJobOutcome run_campaign_job(CampaignJob& job,
   // Build once per job: retry attempts share the population, so stateful
   // decorators (fault-injection counters) advance across attempts and a
   // transient fault does not re-fire on the retry.
-  JobRuntime runtime;
-  try {
-    runtime = build_runtime(job);
-  } catch (const Error& e) {
-    outcome.status = JobStatus::kFailed;
-    outcome.error = e.code();
-    return outcome;
-  } catch (const std::exception&) {
-    outcome.status = JobStatus::kFailed;
-    outcome.error = ErrorCode::kInternal;
-    return outcome;
-  }
+  JobStack stack;
+  outcome.error = error_code_of(
+      [&] { stack = build_job_stack(job, std::move(circuit)); });
+  if (outcome.error != ErrorCode::kOk) return run;  // status is kFailed
 
-  EstimationResult best;
+  bool returned = false;
   const auto attempt = [&]() -> ErrorCode {
-    try {
-      best = engine.run(*runtime.population, job.seed, par);
-      return classify_run_result(best);
-    } catch (const Error& e) {
-      return e.code();
-    } catch (const std::exception&) {
-      return ErrorCode::kInternal;
-    }
+    returned = false;
+    const ErrorCode thrown = error_code_of([&] {
+      outcome.result = engine.run(*stack.population, job.seed, par);
+      returned = true;
+    });
+    return returned ? classify_run_result(outcome.result) : thrown;
   };
   const util::RetryOutcome retried = util::retry_with_backoff(
       options.retry, options.control, jitter_rng, attempt);
+  if (returned) run.population = stack.population->description();
 
   outcome.attempts = retried.attempts;
-  const util::StopCause after = options.control.should_stop();
+  outcome.error = retried.last_error;
+  const util::StopCause cause = retried.stopped != util::StopCause::kNone
+                                    ? retried.stopped
+                                    : options.control.should_stop();
   if (retried.ok) {
     outcome.status = JobStatus::kDone;
-    outcome.result = std::move(best);
-  } else if (retried.stopped != util::StopCause::kNone ||
-             after != util::StopCause::kNone ||
-             retried.last_error == ErrorCode::kCancelled ||
-             retried.last_error == ErrorCode::kDeadline) {
+  } else if (cause != util::StopCause::kNone ||
+             outcome.error == ErrorCode::kCancelled ||
+             outcome.error == ErrorCode::kDeadline) {
     // The job was interrupted, not broken: its checkpoint stays on disk
-    // and the next invocation resumes it.
+    // and the next invocation resumes it. A job stopped before any attempt
+    // failed reports the brake that stopped it.
     outcome.status = JobStatus::kStopped;
-    outcome.error = retried.last_error;
+    if (outcome.error == ErrorCode::kOk) {
+      outcome.error = cause == util::StopCause::kDeadline
+                          ? ErrorCode::kDeadline
+                          : ErrorCode::kCancelled;
+    }
   } else {
     outcome.status = JobStatus::kFailed;
-    outcome.error = retried.last_error;
   }
-  return outcome;
+  return run;
+}
+
+CampaignJobOutcome run_campaign_job(CampaignJob& job,
+                                    const JobRunOptions& options,
+                                    Rng& jitter_rng) {
+  return run_job(job, options, jitter_rng).outcome;
 }
 
 CampaignResult run_campaign(std::vector<CampaignJob>& jobs,

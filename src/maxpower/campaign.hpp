@@ -20,16 +20,23 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "circuit/netlist.hpp"
 #include "maxpower/engine.hpp"
 #include "maxpower/estimator.hpp"
+#include "sim/gate_program.hpp"
+#include "sim/power_eval.hpp"
 #include "util/deadline.hpp"
 #include "util/retry.hpp"
+#include "util/trace.hpp"
+#include "vectors/generators.hpp"
 #include "vectors/population.hpp"
 
 namespace mpe::maxpower {
@@ -57,11 +64,10 @@ struct CampaignJob {
   std::string fitter;
   std::string stop;
   /// Simulation delay model: "zero" | "unit" | "loaded"; empty selects
-  /// loaded (the historical campaign default). Zero-delay jobs are routed
-  /// through the fastest batched backend available (compiled gate tape,
-  /// falling back to the 64-lane interpreter) — all backends produce
-  /// bit-identical value streams for a seed, so this is a speed knob, not a
-  /// semantics knob, within one delay model.
+  /// loaded (the historical campaign default). Zero-delay jobs run on the
+  /// compiled gate tape with the widest SIMD kernel the host supports —
+  /// every backend produces bit-identical value streams for a seed, so the
+  /// choice is a speed matter, not a semantics one, within one delay model.
   std::string delay;
   /// Test hook: when non-null the campaign estimates against this
   /// population instead of building one from the circuit fields. Non-owning;
@@ -166,26 +172,76 @@ EngineConfig campaign_engine_config(const CampaignJob& job);
 /// kDataFault, kNonConvergence for a clean budget stop.
 ErrorCode classify_run_result(const EstimationResult& r);
 
-/// The population one job estimates against, plus whatever it stands on
-/// (netlist, evaluator, generator), type-erased so callers outside
-/// campaign.cpp can run job slices against the exact same value stream.
-/// The population pointer stays valid while `keepalive` is held.
-struct CampaignJobRuntime {
-  std::shared_ptr<void> keepalive;
-  vec::Population* population = nullptr;
+/// A job's circuit, shareable between jobs on the same circuit: the parsed
+/// netlist plus its compiled gate tape, lowered lazily on first use. The
+/// server's circuit cache holds these. Thread-safe.
+class JobCircuit {
+ public:
+  explicit JobCircuit(circuit::Netlist netlist);
+
+  const circuit::Netlist& netlist() const { return netlist_; }
+
+  /// The compiled gate tape for `tech`, lowering it on first use. All
+  /// current callers use the default technology, so one slot suffices.
+  std::shared_ptr<const sim::GateProgram> program(
+      const sim::Technology& tech) const;
+
+  /// True when program() has already compiled (test/observability hook).
+  bool compiled() const;
+
+ private:
+  circuit::Netlist netlist_;
+  mutable std::mutex mutex_;
+  mutable std::shared_ptr<const sim::GateProgram> program_;
 };
 
-/// Builds the job's population exactly as run_campaign_job would (test-hook
-/// population, .bench / Verilog / preset netlist, delay model, fastest
-/// backend). Throws mpe::Error on unreadable circuits.
-CampaignJobRuntime build_campaign_runtime(const CampaignJob& job);
+/// Reads or generates the netlist `job` names: its .bench file, else its
+/// Verilog file, else the preset (default c432) built with the job's seed.
+/// Throws what the reader throws (kIo/kParse/kBadData).
+circuit::Netlist load_job_netlist(const CampaignJob& job);
+
+/// The population one job estimates against and everything it stands on.
+/// Every execution path (campaign runner, shard worker, server executors)
+/// builds its job from this one stack, which is what keeps their value
+/// streams — and so their results — bit-identical.
+struct JobStack {
+  /// Load-bearing: the evaluator references its netlist, so the circuit
+  /// stays alive with the stack even when a cache evicts it. Null when the
+  /// job carries a test-hook population.
+  std::shared_ptr<const JobCircuit> circuit;
+  std::unique_ptr<sim::CyclePowerEvaluator> evaluator;
+  std::unique_ptr<vec::PairGenerator> pairs;
+  std::unique_ptr<vec::StreamingPopulation> streaming;
+  vec::Population* population = nullptr;  ///< the one the engine draws from
+};
+
+/// Builds `job`'s stack on `circuit` (a shared entry for the job's circuit)
+/// or, when null, on a freshly loaded netlist. A test-hook population is
+/// used as is. Zero-delay jobs run on the compiled tape with the widest
+/// kernel. Throws mpe::Error on unreadable circuits.
+JobStack build_job_stack(const CampaignJob& job,
+                         std::shared_ptr<const JobCircuit> circuit = nullptr);
+
+/// The one catch ladder of job execution: runs `fn` and returns kOk, or
+/// the code of what it threw — an mpe::Error's own code, kInternal for any
+/// other exception.
+template <class Fn>
+ErrorCode error_code_of(Fn&& fn) {
+  try {
+    fn();
+    return ErrorCode::kOk;
+  } catch (const Error& e) {
+    return e.code();
+  } catch (const std::exception&) {
+    return ErrorCode::kInternal;
+  }
+}
 
 /// How one job is executed (the per-job slice of CampaignOptions). Shared
-/// by the single-process campaign loop and the distributed worker so a job
-/// runs under the exact same engine configuration either way — that shared
-/// construction is what makes distributed results bit-identical.
+/// by the campaign loop, the distributed worker and the server, so a job
+/// runs under the exact same engine configuration everywhere.
 struct JobRunOptions {
-  std::string state_dir;     ///< required: per-job checkpoints live here
+  std::string state_dir;     ///< per-job checkpoints; empty means none
   util::RetryPolicy retry;
   util::RunControl control;  ///< campaign-/worker-level brakes
   util::Deadline job_deadline;  ///< per-job budget; combined with control
@@ -193,10 +249,32 @@ struct JobRunOptions {
   std::size_t checkpoint_every_k = 1;
 };
 
+/// What one run_job call leaves behind.
+struct JobRun {
+  /// The terminal outcome; `result` holds the last attempt's result
+  /// whatever the status.
+  CampaignJobOutcome outcome;
+  /// The population's description when the last attempt returned a result
+  /// (the run report's header names it); empty otherwise.
+  std::string population;
+};
+
 /// Runs one job to a terminal outcome (never throws; failures land in the
-/// outcome). Retries transient failures under options.retry using
-/// `jitter_rng` for backoff jitter. The job's checkpoint path is
-/// <state_dir>/<name>.ckpt; a pre-existing checkpoint is resumed.
+/// outcome). The single place a job is executed: it builds the stack once
+/// (on `circuit` when given) so retry attempts share the population and
+/// its stateful decorators, composes the engine from
+/// campaign_engine_config plus the run control (the tighter of
+/// options.control's deadline and options.job_deadline wins), checkpoints
+/// to <state_dir>/<name>.ckpt (resuming one that exists), retries
+/// transient failures under options.retry using `jitter_rng` for backoff
+/// jitter, and classifies the last run: done, stopped (interrupted; the
+/// checkpoint is kept) or failed. `tracer`, when non-null, records the run.
+JobRun run_job(const CampaignJob& job, const JobRunOptions& options,
+               Rng& jitter_rng,
+               std::shared_ptr<const JobCircuit> circuit = nullptr,
+               util::Tracer* tracer = nullptr);
+
+/// run_job on a freshly built stack, keeping only the outcome.
 CampaignJobOutcome run_campaign_job(CampaignJob& job,
                                     const JobRunOptions& options,
                                     Rng& jitter_rng);

@@ -76,19 +76,10 @@ ShardOutcome run_campaign_shard(const CampaignJob& job, std::uint64_t shard,
   const TailFitter& fitter =
       cfg.fitter != nullptr ? *cfg.fitter : default_tail_fitter();
 
-  CampaignJobRuntime runtime;
-  try {
-    runtime = build_campaign_runtime(job);
-  } catch (const Error& e) {
-    out.status = JobStatus::kFailed;
-    out.error = e.code();
-    return out;
-  } catch (const std::exception&) {
-    out.status = JobStatus::kFailed;
-    out.error = ErrorCode::kInternal;
-    return out;
-  }
-  PopulationUnitSource source(*runtime.population);
+  JobStack stack;
+  out.error = error_code_of([&] { stack = build_job_stack(job); });
+  if (out.error != ErrorCode::kOk) return out;  // status is kFailed
+  PopulationUnitSource source(*stack.population);
 
   // Checkpointing is best-effort: an unusable log only costs recomputation.
   const std::string ckpt = options.state_dir + "/" + job.name + ".shard" +
@@ -125,22 +116,16 @@ ShardOutcome run_campaign_shard(const CampaignJob& job, std::uint64_t shard,
                                                       : ErrorCode::kCancelled;
       return out;
     }
-    HyperSampleResult hs;
-    try {
+    out.error = error_code_of([&] {
       Rng hyper_rng(stream_seed(job.seed, i));
-      hs = draw_hyper_sample(source, cfg.options.hyper, fitter, hyper_rng);
-    } catch (const Error& e) {
+      out.samples.push_back(shard_sample_from_hyper(
+          i, draw_hyper_sample(source, cfg.options.hyper, fitter, hyper_rng)));
+    });
+    if (out.error != ErrorCode::kOk) {
       flush_pending();
       out.status = JobStatus::kFailed;
-      out.error = e.code();
-      return out;
-    } catch (const std::exception&) {
-      flush_pending();
-      out.status = JobStatus::kFailed;
-      out.error = ErrorCode::kInternal;
       return out;
     }
-    out.samples.push_back(shard_sample_from_hyper(i, hs));
     writer.append(out.samples.back());
     if (writer.pending() >= every) flush_pending();
   }

@@ -1,12 +1,6 @@
 #include "server/circuit_cache.hpp"
 
-#include <fstream>
-#include <sstream>
-#include <utility>
-
-#include "circuit/bench_io.hpp"
-#include "circuit/verilog_io.hpp"
-#include "gen/presets.hpp"
+#include "util/atomic_file.hpp"
 #include "util/crc32.hpp"
 #include "util/metrics.hpp"
 #include "util/status.hpp"
@@ -29,39 +23,7 @@ CacheMetrics& cm() {
   return metrics;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw Error(ErrorCode::kIo, "cannot open circuit file",
-                ErrorContext{}.kv("path", path).str());
-  }
-  std::ostringstream out;
-  out << in.rdbuf();
-  if (in.bad()) {
-    throw Error(ErrorCode::kIo, "cannot read circuit file",
-                ErrorContext{}.kv("path", path).str());
-  }
-  return std::move(out).str();
-}
-
 }  // namespace
-
-CachedCircuit::CachedCircuit(circuit::Netlist netlist)
-    : netlist_(std::move(netlist)) {}
-
-std::shared_ptr<const sim::GateProgram> CachedCircuit::program(
-    const sim::Technology& tech) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!program_) {
-    program_ = sim::GateProgram::compile(netlist_, tech);
-  }
-  return program_;
-}
-
-bool CachedCircuit::compiled() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return program_ != nullptr;
-}
 
 CircuitCache::CircuitCache(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
@@ -72,7 +34,7 @@ std::string CircuitCache::key_for(const maxpower::CampaignJob& job) {
   if (!job.bench.empty() || !job.verilog.empty()) {
     const bool is_bench = !job.bench.empty();
     const std::string content =
-        read_file(is_bench ? job.bench : job.verilog);
+        util::read_file(is_bench ? job.bench : job.verilog);
     std::string key = is_bench ? "bench:" : "verilog:";
     key += std::to_string(util::crc32(content));
     key += ':';
@@ -86,7 +48,7 @@ std::string CircuitCache::key_for(const maxpower::CampaignJob& job) {
   return key;
 }
 
-std::shared_ptr<const CachedCircuit> CircuitCache::lookup(
+std::shared_ptr<const maxpower::JobCircuit> CircuitCache::lookup(
     const maxpower::CampaignJob& job) {
   const std::string key = key_for(job);
   {
@@ -109,13 +71,8 @@ std::shared_ptr<const CachedCircuit> CircuitCache::lookup(
   }
   ++misses_;
   cm().misses.inc();
-  circuit::Netlist netlist =
-      !job.bench.empty()  ? circuit::read_bench_file(job.bench)
-      : !job.verilog.empty()
-          ? circuit::read_verilog_file(job.verilog)
-          : gen::build_preset(job.circuit.empty() ? "c432" : job.circuit,
-                              job.seed);
-  auto circuit = std::make_shared<const CachedCircuit>(std::move(netlist));
+  auto circuit = std::make_shared<const maxpower::JobCircuit>(
+      maxpower::load_job_netlist(job));
   lru_.push_front(Entry{key, circuit});
   by_key_[key] = lru_.begin();
   while (lru_.size() > capacity_) {

@@ -14,11 +14,11 @@
 //                      two paths to the same file share an entry and an
 //                      edited file misses instead of serving a stale parse.
 //
-// Entries are immutable and shared by shared_ptr: an eviction never
-// invalidates a running job, it only drops the cache's own reference. The
-// compiled gate tape is lazy — first zero-delay job on an entry pays the
-// compile, later ones adopt the shared program (the
-// StreamingPopulation::enable_compiled_with seam).
+// Entries are maxpower::JobCircuit values, immutable and shared by
+// shared_ptr: an eviction never invalidates a running job, it only drops the
+// cache's own reference. The compiled gate tape is lazy — first zero-delay
+// job on an entry pays the compile, later ones adopt the shared program
+// (maxpower::build_job_stack builds every job's stack on its entry).
 //
 // Thread-safe: lookups may race from every executor thread. Builds happen
 // under the lock (serializing two concurrent misses for the same circuit
@@ -34,34 +34,9 @@
 #include <mutex>
 #include <string>
 
-#include "circuit/netlist.hpp"
 #include "maxpower/campaign.hpp"
-#include "sim/gate_program.hpp"
-#include "sim/technology.hpp"
 
 namespace mpe::server {
-
-/// One cached circuit: the parsed netlist plus (lazily) its compiled tape.
-class CachedCircuit {
- public:
-  explicit CachedCircuit(circuit::Netlist netlist);
-
-  const circuit::Netlist& netlist() const { return netlist_; }
-
-  /// The compiled gate tape for `tech`, lowering it on first use. All
-  /// current callers use the default technology, so one slot suffices;
-  /// thread-safe.
-  std::shared_ptr<const sim::GateProgram> program(
-      const sim::Technology& tech) const;
-
-  /// True when program() has already compiled (test/observability hook).
-  bool compiled() const;
-
- private:
-  circuit::Netlist netlist_;
-  mutable std::mutex mutex_;
-  mutable std::shared_ptr<const sim::GateProgram> program_;
-};
 
 class CircuitCache {
  public:
@@ -75,7 +50,7 @@ class CircuitCache {
   /// Returns the cached entry for `job`'s circuit, parsing/generating and
   /// inserting it on miss (evicting the least-recently-used entry when
   /// full). Throws what the underlying reader throws (kIo/kParse/kBadData).
-  std::shared_ptr<const CachedCircuit> lookup(
+  std::shared_ptr<const maxpower::JobCircuit> lookup(
       const maxpower::CampaignJob& job);
 
   struct Stats {
@@ -90,7 +65,7 @@ class CircuitCache {
  private:
   struct Entry {
     std::string key;
-    std::shared_ptr<const CachedCircuit> circuit;
+    std::shared_ptr<const maxpower::JobCircuit> circuit;
   };
 
   mutable std::mutex mutex_;

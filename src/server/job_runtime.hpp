@@ -1,54 +1,36 @@
-// Per-job engine plumbing shared by the server's executors: building a
-// job's population stack from the circuit cache, running one job to a
-// terminal outcome, and rendering the run report. Both executors compose
-// the engine through maxpower::campaign_engine_config, the campaign
-// runner's own function — that is what makes server results byte-identical
-// to batch runs, whichever executor (local thread pool or shard fleet)
-// produced them.
+// Per-job plumbing of the server's executors: running one granted job and
+// rendering its run report. Both executors go through maxpower's one job
+// runtime (build_job_stack / run_job, the campaign runner's own), with the
+// netlist and compiled tape coming from the shared circuit cache — that is
+// what makes server results byte-identical to batch runs, whichever
+// executor (local thread pool or shard fleet) produced them.
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "maxpower/campaign.hpp"
 #include "maxpower/estimator.hpp"
 #include "server/circuit_cache.hpp"
 #include "server/server_core.hpp"
-#include "sim/power_eval.hpp"
 #include "util/trace.hpp"
-#include "vectors/generators.hpp"
-#include "vectors/population.hpp"
 
 namespace mpe::server {
-
-/// Everything one job's population stands on. The CachedCircuit shared_ptr
-/// is load-bearing: the evaluator holds a reference into its netlist, so
-/// the entry must stay alive for the whole run even if the cache evicts it.
-struct JobExec {
-  std::shared_ptr<const CachedCircuit> circuit;
-  std::unique_ptr<sim::CyclePowerEvaluator> evaluator;
-  std::unique_ptr<vec::PairGenerator> pairs;
-  std::unique_ptr<vec::StreamingPopulation> streaming;
-};
-
-/// Mirrors the campaign runner's build_runtime, with the netlist (and the
-/// compiled tape, for zero-delay jobs) coming from the shared cache.
-JobExec build_exec(const maxpower::CampaignJob& job, CircuitCache& cache);
 
 struct ExecJobResult {
   maxpower::CampaignJobOutcome outcome;
   std::string report;
 };
 
-/// Runs one granted job to a terminal outcome (never throws).
+/// Runs one granted job to a terminal outcome (never throws): one attempt,
+/// under the ticket's cancel token and deadline, traced into `tracer`.
 ExecJobResult execute_job(const ServerCore::Started& started,
                           util::Tracer* tracer, CircuitCache& cache,
                           const std::string& state_dir);
 
 /// Renders the JSONL run report for an already-computed result (the fleet
 /// path: the numbers came from Engine::replay over shard samples, the
-/// population description from the cache). Returns "" when rendering fails
-/// — a broken report never fails the job itself.
+/// population description from the job's stack on its cache entry).
+/// Returns "" when rendering fails — a broken report never fails the job.
 std::string render_job_report(const maxpower::CampaignJob& job,
                               const maxpower::EstimationResult& result,
                               CircuitCache& cache);

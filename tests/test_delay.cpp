@@ -31,6 +31,14 @@ TEST(Delay, ModelNames) {
   EXPECT_STREQ(sim::to_string(sim::DelayModel::kUnit), "unit");
   EXPECT_STREQ(sim::to_string(sim::DelayModel::kFanoutLoaded),
                "fanout-loaded");
+  // The user-facing names (--delay, --model, manifest "delay").
+  EXPECT_EQ(sim::delay_model_from_name("zero"), sim::DelayModel::kZero);
+  EXPECT_EQ(sim::delay_model_from_name("unit"), sim::DelayModel::kUnit);
+  EXPECT_EQ(sim::delay_model_from_name("loaded"),
+            sim::DelayModel::kFanoutLoaded);
+  for (const char* bad : {"", "fanout-loaded", "Zero", "zero "}) {
+    EXPECT_FALSE(sim::delay_model_from_name(bad).has_value()) << bad;
+  }
 }
 
 TEST(Delay, ZeroModelAllZeros) {

@@ -9,7 +9,9 @@
 // soak doubles as the TSan target for the server stack.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -140,6 +142,40 @@ TEST(ServerCache, EvictionNeverInvalidatesALiveEntry) {
   cache.lookup(tiny_job("b", 2));  // evicts seed 1 from the cache...
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(held->netlist().num_gates(), gates);  // ...but not from us
+}
+
+TEST(ServerCache, StackOnACacheEntryMatchesAFreshStack) {
+  // Fleet reports are rendered from a stack on the cache entry, local and
+  // campaign runs from a fresh one; their byte-identity rests on the two
+  // agreeing on backend, kernel, description and value stream.
+  ms::CircuitCache cache(4);
+  for (const char* delay : {"zero", "loaded"}) {
+    mp::CampaignJob job = tiny_job("stack", 9);
+    job.delay = delay;
+    const mp::JobStack fresh = mp::build_job_stack(job);
+    const mp::JobStack cached = mp::build_job_stack(job, cache.lookup(job));
+    ASSERT_NE(fresh.streaming, nullptr);
+    ASSERT_NE(cached.streaming, nullptr);
+    EXPECT_EQ(fresh.streaming->backend(), cached.streaming->backend())
+        << delay;
+    EXPECT_EQ(fresh.streaming->compiled_kernel(),
+              cached.streaming->compiled_kernel())
+        << delay;
+    EXPECT_EQ(fresh.population->description(),
+              cached.population->description())
+        << delay;
+
+    std::vector<double> a(96), b(96);
+    mpe::Rng rng_a(31), rng_b(31);
+    fresh.population->draw_batch(a, rng_a);
+    cached.population->draw_batch(b, rng_b);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+                std::bit_cast<std::uint64_t>(b[i]))
+          << delay << " unit " << i;
+    }
+  }
+  EXPECT_TRUE(cache.lookup(tiny_job("stack", 9))->compiled());
 }
 
 // ----------------------------------------------------------- live server

@@ -137,14 +137,12 @@ int cmd_estimate(const Cli& cli) {
   // zero delay: only a zero-delay cycle vectorizes across lanes.
   sim::PowerEvalOptions eval_opt;
   const std::string delay_name = cli.get("delay", "loaded");
-  if (delay_name == "zero") {
-    eval_opt.delay_model = sim::DelayModel::kZero;
-  } else if (delay_name == "unit") {
-    eval_opt.delay_model = sim::DelayModel::kUnit;
-  } else if (delay_name != "loaded") {
+  const auto delay_model = sim::delay_model_from_name(delay_name);
+  if (!delay_model) {
     throw Error(ErrorCode::kUsage, "unknown --delay (zero|unit|loaded)",
                 ErrorContext{}.kv("value", delay_name).str());
   }
+  eval_opt.delay_model = *delay_model;
   sim::CyclePowerEvaluator evaluator(netlist, eval_opt);
 
   std::unique_ptr<vec::PairGenerator> pairs;
@@ -167,9 +165,8 @@ int cmd_estimate(const Cli& cli) {
   //   compiled — SoA gate tape + widest SIMD kernel (zero delay only)
   const std::string backend = cli.get("sim-backend", "auto");
   if (backend == "auto") {
-    if (eval_opt.delay_model == sim::DelayModel::kZero &&
-        !population.enable_compiled()) {
-      population.enable_bit_parallel();
+    if (eval_opt.delay_model == sim::DelayModel::kZero) {
+      population.enable_compiled();
     }
   } else if (backend == "interp") {
     if (!population.enable_bit_parallel()) {
@@ -947,15 +944,12 @@ int cmd_timing(const Cli& cli) {
   cli.check_known({"circuit", "bench", "verilog", "seed", "model"});
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   auto netlist = load_circuit(cli, seed);
-  const std::string model = cli.get("model", "loaded");
-  sim::DelayModel dm = sim::DelayModel::kFanoutLoaded;
-  if (model == "zero") dm = sim::DelayModel::kZero;
-  else if (model == "unit") dm = sim::DelayModel::kUnit;
-  else if (model != "loaded") usage();
+  const auto dm = sim::delay_model_from_name(cli.get("model", "loaded"));
+  if (!dm) usage();
 
-  const auto t = sim::analyze_timing(netlist, sim::Technology{}, dm);
+  const auto t = sim::analyze_timing(netlist, sim::Technology{}, *dm);
   std::printf("critical delay (%s model): %.3f ns\n",
-              sim::to_string(dm), t.critical_delay);
+              sim::to_string(*dm), t.critical_delay);
   std::printf("critical path (%zu nodes):\n", t.critical_path.size());
   for (auto n : t.critical_path) {
     std::printf("  %-20s arrival %.3f ns\n",
