@@ -73,7 +73,10 @@ sleep_ms() {
 }
 
 # --- 1. Reference: the SAME daemon binary running jobs in-process ----------
+# Each log exists before its daemon starts: the shell opens the redirect in
+# the forked child, and wait_port must never read a missing file.
 LOCAL_LOG="$WORK/local.log"
+: > "$LOCAL_LOG"
 "$CLI" serve --tcp-port 0 --state-dir "$WORK/local_state" \
   --trace-capacity 0 --max-active 2 --max-queue 256 --queue-per-client 256 > "$LOCAL_LOG" 2>&1 &
 LOCAL=$!
@@ -91,6 +94,8 @@ n=$(grep -c ' done ' "$WORK/local.out" || true)
 
 # --- 2. The fleet daemon + 3 workers ---------------------------------------
 FLEET_LOG="$WORK/fleet.log"
+: > "$FLEET_LOG"
+W_PIDS=""  # set before the trap names it, so an early exit still kills
 "$CLI" serve --tcp-port 0 --worker-port 0 --state-dir "$WORK/fleet_state" \
   --trace-capacity 0 --max-active 2 --max-queue 256 --queue-per-client 256 --lease-ms 1000 --max-assign 25 \
   --shard-size auto --shard-floor 4 --shard-ceiling 64 --shard-target-ms 500 \
@@ -100,7 +105,6 @@ trap 'kill -9 "$SERVER" $W_PIDS 2> /dev/null || true' EXIT
 CLIENT_PORT=$(wait_port "$FLEET_LOG" "$SERVER" "listening tcp")
 WORKER_PORT=$(wait_port "$FLEET_LOG" "$SERVER" "listening worker tcp")
 
-W_PIDS=""
 start_worker() {
   # start_worker <name>: its own state dir — fleet members share nothing.
   mkdir -p "$WORK/workers/$1"

@@ -98,12 +98,7 @@ CoordinatorCore::CoordinatorCore(CoordinatorConfig config)
     } catch (const Error&) {
       continue;  // mangled payload: the shard simply recomputes
     }
-    if (samples.size() != shard.hi - shard.lo) continue;
-    bool contiguous = true;
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      contiguous = contiguous && samples[i].index == shard.lo + i;
-    }
-    if (!contiguous) continue;
+    if (!completes(*state, shard, samples)) continue;
     sched::complete(shard.lease);
     shard.samples = std::move(samples);
     ++shards_done_;
@@ -145,6 +140,21 @@ void CoordinatorCore::init_shards(JobState& state,
   }
 }
 
+bool CoordinatorCore::completes(
+    const JobState& state, const ShardState& shard,
+    const std::vector<maxpower::ShardSample>& samples) const {
+  const std::uint64_t range = shard.hi - shard.lo;
+  if (samples.empty() || samples.size() > range) return false;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    if (samples[i].index != shard.lo + i) return false;
+  }
+  if (samples.size() == range) return true;
+  // Short: only shard 0 folds as it draws, and it stops early only at the
+  // job's stopping point, so its slice must assemble terminal by itself.
+  return shard.lo == 0 &&
+         maxpower::assemble_job(config_.jobs[state.index], samples).terminal;
+}
+
 void CoordinatorCore::observe_shard_latency(const ShardState& shard,
                                             Clock::time_point now) {
   const auto latency = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -155,7 +165,8 @@ void CoordinatorCore::observe_shard_latency(const ShardState& shard,
             0, static_cast<std::int64_t>(latency.count()))));
   }
   if (!config_.shard_auto) return;
-  const std::uint64_t attempts = shard.hi - shard.lo;
+  // Per sample computed: shard 0 may stop well short of its range.
+  const std::uint64_t attempts = shard.samples.size();
   if (attempts == 0 || latency.count() < 0) return;
   const double per_attempt = static_cast<double>(latency.count()) /
                              static_cast<double>(attempts);
@@ -230,6 +241,11 @@ void CoordinatorCore::record(JobState& state,
   state.outcome = outcome;
   state.failed = outcome.status != JobStatus::kDone;
   sched::complete(state.lease);
+  // A terminal job never assembles again, and a persistent daemon keeps
+  // its state for good: release the shard payloads now.
+  for (auto& shard : state.shards) {
+    std::vector<maxpower::ShardSample>().swap(shard.samples);
+  }
   maxpower::append_ledger_line(report_path_,
                                maxpower::campaign_record_line(outcome));
   completions_.push_back(state.outcome);
@@ -267,6 +283,9 @@ void CoordinatorCore::try_assemble(JobState& state) {
   for (const auto& shard : state.shards) {
     if (shard.lease.phase != sched::LeasePhase::kDone) break;
     prefix.insert(prefix.end(), shard.samples.begin(), shard.samples.end());
+    // A short shard 0 ends at the job's stopping point: nothing after it
+    // belongs to the prefix.
+    if (shard.samples.size() < shard.hi - shard.lo) break;
   }
   if (prefix.empty()) return;
   const maxpower::CampaignJob& job = config_.jobs[state.index];
@@ -433,16 +452,12 @@ std::string CoordinatorCore::handle(const Message& msg, Clock::time_point now) {
           } catch (const Error&) {
             return encode_error("malformed shard samples");
           }
-          bool covers = samples.size() == shard.hi - shard.lo;
-          for (std::size_t i = 0; covers && i < samples.size(); ++i) {
-            covers = samples[i].index == shard.lo + i;
-          }
-          if (!covers) {
+          if (!completes(*state, shard, samples)) {
             return encode_error("shard samples do not cover the range");
           }
-          observe_shard_latency(shard, now);
           sched::complete(shard.lease);
           shard.samples = std::move(samples);
+          observe_shard_latency(shard, now);
           ++shards_done_;
           maxpower::append_ledger_line(
               report_path_,
@@ -553,6 +568,14 @@ bool CoordinatorCore::any_leased() const {
                                 !shard.lease.holders.empty();
                        });
   });
+}
+
+std::size_t CoordinatorCore::samples_held() const {
+  std::size_t held = 0;
+  for (const auto& state : jobs_) {
+    for (const auto& shard : state.shards) held += shard.samples.size();
+  }
+  return held;
 }
 
 bool CoordinatorCore::finished() const {

@@ -184,6 +184,10 @@ class CoordinatorCore {
   /// Shards completed across all jobs (monotonic; test/observability hook).
   std::size_t shards_done() const { return shards_done_; }
 
+  /// Shard samples held for assembly across all jobs (test/observability
+  /// hook): a job's samples are released when it turns terminal.
+  std::size_t samples_held() const;
+
  private:
   /// One wave-index range of a sharded job: the shard payload around its
   /// sched::Lease (max_holders 2: primary + one straggler re-issue).
@@ -191,7 +195,8 @@ class CoordinatorCore {
     std::uint64_t lo = 0;
     std::uint64_t hi = 0;
     sched::Lease lease;
-    std::vector<maxpower::ShardSample> samples;  ///< filled when done
+    /// Filled when done; released when the job turns terminal.
+    std::vector<maxpower::ShardSample> samples;
   };
 
   struct JobState {
@@ -223,8 +228,14 @@ class CoordinatorCore {
   }
   /// Partitions a fresh JobState (ctor and add_job share it).
   void init_shards(JobState& state, const maxpower::CampaignJob& job);
-  /// Folds one finished shard's latency into the adaptive-size EWMA and the
-  /// metric series.
+  /// True when `samples` complete `shard`: its whole contiguous range, or —
+  /// for the shard from index 0 only — a contiguous slice [0, stop] that
+  /// assembles terminal alone (shard 0 stopped where the job stops).
+  /// Throws what assemble_job throws.
+  bool completes(const JobState& state, const ShardState& shard,
+                 const std::vector<maxpower::ShardSample>& samples) const;
+  /// Folds one finished shard's latency, per sample it returned, into the
+  /// adaptive-size EWMA and the metric series.
   void observe_shard_latency(const ShardState& shard, Clock::time_point now);
 
   JobState* find(const std::string& job);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -186,42 +187,48 @@ class SerialExecution final : public ExecutionPolicy {
 /// stream stream_seed(seed, i); waves of up to `wave` indices are computed
 /// speculatively (concurrently when the source allows), and a dedicated
 /// stream feeds the interval randomness, so the schedule is unobservable in
-/// the result. A recorded prefix of samples (a checkpoint's sample log, or
-/// shard results being assembled) is served first, as one wave, before
-/// anything is drawn; with `wave` == 0 nothing is drawn at all
-/// (Engine::replay).
+/// the result. Draws cover the index window [first, max_attempts). A
+/// recorded run of samples for indices first, first+1, ... (a checkpoint's
+/// or shard's sample log, or shard results being assembled) is served
+/// first, as one wave, before anything is drawn; with `wave` == 0 nothing
+/// is drawn at all (Engine::replay).
 class SpeculativeExecution final : public ExecutionPolicy {
  public:
   SpeculativeExecution(std::uint64_t seed,
                        const std::vector<ShardSample>& recorded,
                        std::size_t wave, bool concurrent,
-                       util::ThreadPool* pool, std::size_t max_attempts)
+                       util::ThreadPool* pool, std::size_t first,
+                       std::size_t max_attempts)
       : seed_(seed),
         recorded_(recorded),
         wave_(wave),
         concurrent_(concurrent),
         pool_(pool),
         max_attempts_(max_attempts),
-        interval_rng_(stream_seed(seed, kIntervalStream)) {}
+        recorded_end_(std::min(first + recorded.size(), max_attempts)),
+        interval_rng_(stream_seed(seed, kIntervalStream)),
+        first_(first),
+        next_index_(first) {}
 
   std::size_t cursor() const override { return next_index_; }
   Rng& interval_rng() override { return interval_rng_; }
+  /// The code of the draw fault that ended the run (kOk if none).
+  ErrorCode fault() const { return fault_; }
 
   bool draw_wave(UnitSource& source, const TailFitter& fitter,
                  RunContext& ctx, EstimationResult& r,
                  std::vector<Slot>& slots) override {
     slots.clear();
-    const std::size_t recorded_end = std::min(recorded_.size(), max_attempts_);
-    if (next_index_ < recorded_end) {
-      for (std::size_t i = next_index_; i < recorded_end; ++i) {
+    if (next_index_ < recorded_end_) {
+      for (std::size_t i = next_index_; i < recorded_end_; ++i) {
         Slot s;
-        s.hs = hyper_from_shard_sample(recorded_[i]);
+        s.hs = hyper_from_shard_sample(recorded_[i - first_]);
         s.index = i;
         s.computed = true;
         s.recorded = true;
         slots.push_back(std::move(s));
       }
-      last_count_ = recorded_end - next_index_;
+      last_count_ = recorded_end_ - next_index_;
       return true;
     }
     const std::size_t count = std::min(wave_, max_attempts_ - next_index_);
@@ -255,6 +262,7 @@ class SpeculativeExecution final : public ExecutionPolicy {
       // either fully computed or untouched; the engine folds the computed
       // prefix, then stops.
       ctx.record_draw_fault(e, r);
+      fault_ = e.code();
       draw_faulted = true;
     }
     wave_span.note(util::JsonFields{}
@@ -266,14 +274,18 @@ class SpeculativeExecution final : public ExecutionPolicy {
     wave_span.finish();
     ++wave_number_;
     slots.reserve(count);
+    // The fold stops at the first entry a stop abandoned, so the cursor
+    // only moves past the computed prefix: the indices after it are still
+    // to draw.
+    last_count_ = count;
     for (std::size_t j = 0; j < count; ++j) {
       Slot s;
       s.computed = batch_[j].units_used != 0;
+      if (!s.computed) last_count_ = std::min(last_count_, j);
       s.index = next_index_ + j;
       s.hs = std::move(batch_[j]);
       slots.push_back(std::move(s));
     }
-    last_count_ = count;
     return !draw_faulted;
   }
 
@@ -286,10 +298,13 @@ class SpeculativeExecution final : public ExecutionPolicy {
   bool concurrent_;
   util::ThreadPool* pool_;
   std::size_t max_attempts_;
+  std::size_t recorded_end_;
   Rng interval_rng_;
-  std::size_t next_index_ = 0;
+  std::size_t first_;
+  std::size_t next_index_;
   std::size_t last_count_ = 0;
   std::size_t wave_number_ = 0;
+  ErrorCode fault_ = ErrorCode::kOk;
   std::vector<HyperSampleResult> batch_;
 };
 
@@ -335,7 +350,7 @@ EstimationResult run_loop(UnitSource& source, const TailFitter& fitter,
       if (*verdict == StopReason::kCancelled ||
           *verdict == StopReason::kDeadlineExceeded) {
         ctx.record_stop(*verdict, r);
-        ctx.checkpoint().sync();
+        ctx.samples().sync();
         finalize_chain(chain, options, r, policy.interval_rng());
         return r;
       }
@@ -380,11 +395,13 @@ EstimationResult run_loop(UnitSource& source, const TailFitter& fitter,
       // Every folded sample joins the log, accepted or discarded; unfolded
       // entries later in the wave are re-drawn on resume from their
       // per-index streams, reproducing the same values.
-      if (!s.recorded) ctx.checkpoint().append(s.index, s.hs, done);
+      if (!s.recorded) {
+        ctx.samples().append(shard_sample_from_hyper(s.index, s.hs), done);
+      }
     }
     if (done) return r;
     if (!wave_ok) {
-      ctx.checkpoint().sync();
+      ctx.samples().sync();
       finalize_chain(chain, options, r, policy.interval_rng());
       return r;
     }
@@ -398,7 +415,7 @@ EstimationResult run_loop(UnitSource& source, const TailFitter& fitter,
       r.stop_reason == StopReason::kMaxHyperSamples) {
     ctx.record_redraws_exhausted(r);
   }
-  ctx.checkpoint().sync();
+  ctx.samples().sync();
   finalize_chain(chain, options, r, policy.interval_rng());
   return r;
 }
@@ -422,6 +439,15 @@ std::string strategy_canon(const EngineConfig& config) {
   return canon;
 }
 
+const TailFitter& fitter_of(const EngineConfig& config) {
+  return config.fitter != nullptr ? *config.fitter : default_tail_fitter();
+}
+
+std::vector<std::shared_ptr<StoppingRule>> chain_of(
+    const EngineConfig& config) {
+  return config.stopping.empty() ? default_stopping_chain() : config.stopping;
+}
+
 }  // namespace
 
 EstimationResult Engine::run(UnitSource& source, Rng& rng) const {
@@ -435,13 +461,12 @@ EstimationResult Engine::run(UnitSource& source, Rng& rng) const {
                     .kv("path", config_.options.checkpoint_path)
                     .str());
   }
-  const TailFitter& fitter =
-      config_.fitter != nullptr ? *config_.fitter : default_tail_fitter();
-  const auto chain =
-      config_.stopping.empty() ? default_stopping_chain() : config_.stopping;
+  const TailFitter& fitter = fitter_of(config_);
+  const auto chain = chain_of(config_);
 
   RunScope scope(config_.options, source, /*parallel_path=*/false, 1);
-  RunContext ctx(config_.options, /*fingerprint=*/0);
+  CheckpointSink no_checkpoint(config_.options, /*fingerprint=*/0);
+  RunContext ctx(config_.options, no_checkpoint);
   SerialExecution policy(rng);
   EstimationResult r = run_loop(source, fitter, chain, ctx, policy);
   scope.finish(r);
@@ -456,10 +481,8 @@ EstimationResult Engine::run(vec::Population& population, Rng& rng) const {
 EstimationResult Engine::run(UnitSource& source, std::uint64_t seed,
                              const ParallelOptions& parallel) const {
   check_options(config_.options);
-  const TailFitter& fitter =
-      config_.fitter != nullptr ? *config_.fitter : default_tail_fitter();
-  const auto chain =
-      config_.stopping.empty() ? default_stopping_chain() : config_.stopping;
+  const TailFitter& fitter = fitter_of(config_);
+  const auto chain = chain_of(config_);
 
   unsigned threads = parallel.threads;
   if (parallel.pool != nullptr) {
@@ -482,13 +505,14 @@ EstimationResult Engine::run(UnitSource& source, std::uint64_t seed,
   const std::size_t wave = concurrent ? threads : 1;
 
   RunScope scope(config_.options, source, /*parallel_path=*/true, threads);
-  RunContext ctx(config_.options,
-                 run_fingerprint(config_.options, seed,
-                                 /*parallel_path=*/true, source.description(),
-                                 strategy_canon(config_)));
-  const std::vector<ShardSample> recorded = ctx.checkpoint().open();
+  CheckpointSink checkpoint(
+      config_.options,
+      run_fingerprint(config_.options, seed, /*parallel_path=*/true,
+                      source.description(), strategy_canon(config_)));
+  const std::vector<ShardSample> recorded = checkpoint.open();
+  RunContext ctx(config_.options, checkpoint);
   SpeculativeExecution policy(
-      seed, recorded, wave, concurrent, pool,
+      seed, recorded, wave, concurrent, pool, /*first=*/0,
       config_.options.max_hyper_samples + config_.options.max_redraws);
   EstimationResult r = run_loop(source, fitter, chain, ctx, policy);
   scope.finish(r);
@@ -514,10 +538,8 @@ EstimationResult Engine::replay(
                       .str());
     }
   }
-  const TailFitter& fitter =
-      config_.fitter != nullptr ? *config_.fitter : default_tail_fitter();
-  const auto chain =
-      config_.stopping.empty() ? default_stopping_chain() : config_.stopping;
+  const TailFitter& fitter = fitter_of(config_);
+  const auto chain = chain_of(config_);
   // Replay is a pure fold: no checkpoint, no tracer, and an inert run
   // control, so a coordinator-side stop request can never truncate the
   // deterministic result mid-assembly.
@@ -525,12 +547,67 @@ EstimationResult Engine::replay(
   options.checkpoint_path.clear();
   options.tracer = nullptr;
   options.control = util::RunControl{};
-  RunContext ctx(options, /*fingerprint=*/0);
+  CheckpointSink no_checkpoint(options, /*fingerprint=*/0);
+  RunContext ctx(options, no_checkpoint);
   ReplaySource source;
   SpeculativeExecution policy(
       seed, samples, /*wave=*/0, /*concurrent=*/false, /*pool=*/nullptr,
-      options.max_hyper_samples + options.max_redraws);
+      /*first=*/0, options.max_hyper_samples + options.max_redraws);
   return run_loop(source, fitter, chain, ctx, policy);
+}
+
+namespace {
+
+/// Keeps each sample it forwards: a window run returns what it drew.
+class KeepingSink final : public SampleSink {
+ public:
+  KeepingSink(SampleSink& log, std::vector<ShardSample>& kept)
+      : log_(log), kept_(kept) {}
+  void append(const ShardSample& sample, bool stopped) override {
+    kept_.push_back(sample);
+    log_.append(sample, stopped);
+  }
+  void sync() override { log_.sync(); }
+
+ private:
+  SampleSink& log_;
+  std::vector<ShardSample>& kept_;
+};
+
+}  // namespace
+
+WindowRun Engine::run_window(UnitSource& source, std::uint64_t seed,
+                             std::uint64_t lo, std::uint64_t hi,
+                             const std::vector<ShardSample>& recorded,
+                             SampleSink& log) const {
+  check_options(config_.options);
+  MPE_EXPECTS(lo < hi);
+  EstimatorOptions options = config_.options;
+  options.checkpoint_path.clear();
+  auto chain = chain_of(config_);
+  if (lo > 0) {
+    // Nothing precedes this window to fold against, so no convergence or
+    // budget verdict means anything here: draw every index, and let only
+    // run control end the window early.
+    chain = {std::make_shared<RunControlRule>()};
+    options.max_hyper_samples = std::numeric_limits<std::size_t>::max();
+  }
+  std::vector<ShardSample> drawn;
+  KeepingSink sink(log, drawn);
+  RunContext ctx(options, sink);
+  SpeculativeExecution policy(seed, recorded, /*wave=*/1,
+                              /*concurrent=*/false, /*pool=*/nullptr, lo, hi);
+  WindowRun out;
+  out.result = run_loop(source, fitter_of(config_), chain, ctx, policy);
+  out.fault = policy.fault();
+  // The fold visits each sample it accepts or discards, in index order; a
+  // recorded sample past the stopping point was never visited.
+  const std::size_t visited =
+      out.result.hyper_samples + out.result.diagnostics.discarded_hyper_samples;
+  out.samples.assign(recorded.begin(),
+                     recorded.begin() + std::min(recorded.size(), visited));
+  out.samples.insert(out.samples.end(), drawn.begin(), drawn.end());
+  return out;
 }
 
 }  // namespace mpe::maxpower

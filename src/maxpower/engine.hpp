@@ -49,6 +49,17 @@ struct EngineConfig {
   std::vector<std::shared_ptr<StoppingRule>> stopping;
 };
 
+/// What Engine::run_window returns: the samples one index window drew.
+struct WindowRun {
+  /// The samples the fold visited, indices lo, lo+1, ... in order.
+  std::vector<ShardSample> samples;
+  /// The fold over `samples`. For a window from index 0 it is the run's
+  /// result so far; for a later window it means nothing.
+  EstimationResult result;
+  /// The code of the draw fault that ended the window early (kOk if none).
+  ErrorCode fault = ErrorCode::kOk;
+};
+
 /// The layered estimation engine. An Engine is cheap to construct and
 /// reusable; run() is const and may be called repeatedly. The built-in
 /// strategies are stateless, so one Engine can serve concurrent runs —
@@ -95,6 +106,25 @@ class Engine {
   /// a checkpointed run uses to resume.
   EstimationResult replay(std::uint64_t seed,
                           const std::vector<ShardSample>& samples) const;
+
+  /// Draws the index window [lo, hi) of the pipelined run's sequence for
+  /// `seed`, one sample at a time: what a fleet shard computes.
+  /// `recorded` holds samples already finished for indices lo, lo+1, ...
+  /// (a resumed shard log); they are served first and never redrawn. Each
+  /// newly drawn sample the fold visits goes to `log`.
+  ///
+  /// A window from lo == 0 holds the whole prefix, so it folds each sample
+  /// through run()'s fold and stopping chain and ends where run() stops:
+  /// its samples are then [0, stop], possibly fewer than hi, and replay()
+  /// of them equals run(). A recorded prefix that already reaches the
+  /// stopping point is returned without drawing. A window from lo > 0 has
+  /// nothing to fold against and draws every index up to hi. Either kind
+  /// ends early on run control (result.stop_reason kCancelled or
+  /// kDeadlineExceeded) or on a draw fault (`fault`).
+  WindowRun run_window(UnitSource& source, std::uint64_t seed,
+                       std::uint64_t lo, std::uint64_t hi,
+                       const std::vector<ShardSample>& recorded,
+                       SampleSink& log) const;
 
  private:
   EngineConfig config_;

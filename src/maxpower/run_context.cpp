@@ -69,13 +69,12 @@ std::vector<ShardSample> CheckpointSink::open() {
   return std::move(log.prefix);
 }
 
-void CheckpointSink::append(std::size_t index, const HyperSampleResult& hs,
-                            bool converged) {
+void CheckpointSink::append(const ShardSample& sample, bool stopped) {
   if (!writer_) return;
-  writer_->append(shard_sample_from_hyper(index, hs));
+  writer_->append(sample);
   const std::size_t every =
       std::max<std::size_t>(1, options_.checkpoint_every_k);
-  if (converged || writer_->pending() >= every) writer_->sync();
+  if (stopped || writer_->pending() >= every) writer_->sync();
 }
 
 void CheckpointSink::sync() {

@@ -1,7 +1,8 @@
 // RunContext — the engine's cross-cutting services, threaded through the
 // run loop once instead of hand-woven into each execution path: structured
-// tracing (util::Tracer), the global metric handles, durable checkpointing
-// (CheckpointSink, an append-only sample log), and the
+// tracing (util::Tracer), the global metric handles, the sample sink new
+// draws are logged to (CheckpointSink, an append-only sample log, for a
+// run; the shard's own log for a window run), and the
 // structured-diagnostics recording helpers. The
 // engine owns exactly one RunContext per run; strategies never touch these
 // services directly, which is what keeps a new fitter or stopping rule a
@@ -53,7 +54,7 @@ EstimatorMetrics& estimator_metrics();
 /// (maxpower/sample_log.hpp), keyed by its run_fingerprint(). Inert (every
 /// call a no-op) when EstimatorOptions::checkpoint_path is empty, so the
 /// feature costs one branch per folded sample when disabled.
-class CheckpointSink {
+class CheckpointSink final : public SampleSink {
  public:
   CheckpointSink(const EstimatorOptions& options, std::uint64_t fingerprint)
       : options_(options), fingerprint_(fingerprint) {}
@@ -66,14 +67,13 @@ class CheckpointSink {
   std::vector<ShardSample> open();
 
   /// Logs one newly drawn sample the fold visited, accepted or discarded;
-  /// syncs every checkpoint_every_k records and when the run `converged`.
-  void append(std::size_t index, const HyperSampleResult& hs,
-              bool converged);
+  /// syncs every checkpoint_every_k records and when the run `stopped`.
+  void append(const ShardSample& sample, bool stopped) override;
 
-  /// Syncs pending records. Called on every non-converged exit (deadline,
-  /// cancel, fault, budget) so a resumed run never loses a sample to a
-  /// graceful stop.
-  void sync();
+  /// Syncs pending records. Called on every other exit (deadline, cancel,
+  /// fault, budget) so a resumed run never loses a sample to a graceful
+  /// stop.
+  void sync() override;
 
  private:
   const EstimatorOptions& options_;
@@ -82,16 +82,17 @@ class CheckpointSink {
 };
 
 /// Per-run bundle of cross-cutting services plus the recording helpers the
-/// run loop calls at its decision points. Non-owning views of the options
-/// and tracer — both must outlive the run.
+/// run loop calls at its decision points. Non-owning views of the options,
+/// tracer and sample sink — all must outlive the run.
 class RunContext {
  public:
-  RunContext(const EstimatorOptions& options, std::uint64_t fingerprint)
-      : options_(options), checkpoint_(options, fingerprint) {}
+  RunContext(const EstimatorOptions& options, SampleSink& samples)
+      : options_(options), samples_(samples) {}
 
   const EstimatorOptions& options() const { return options_; }
   util::Tracer* tracer() const { return options_.tracer; }
-  CheckpointSink& checkpoint() { return checkpoint_; }
+  /// Where newly drawn samples go (the checkpoint, or a shard's log).
+  SampleSink& samples() { return samples_; }
 
   /// Flags sources too small for the sampling design: with |V| < n*m the m
   /// "independent" samples heavily overlap, so the hyper-sample maxima are
@@ -127,7 +128,7 @@ class RunContext {
 
  private:
   const EstimatorOptions& options_;
-  CheckpointSink checkpoint_;
+  SampleSink& samples_;
 };
 
 }  // namespace mpe::maxpower

@@ -92,6 +92,19 @@ SampleLog load_sample_log(
 /// `key`. Throws mpe::Error(kIo).
 void create_sample_log(const std::string& path, std::string_view key);
 
+/// Where a run's newly drawn samples go, in index order, as the engine's
+/// fold visits them: the engine checkpoint (maxpower/run_context.hpp) or a
+/// shard's log (maxpower/shard.cpp).
+class SampleSink {
+ public:
+  virtual ~SampleSink() = default;
+  /// `stopped` is true for the sample on which the stopping chain ended the
+  /// run; no sync() follows it.
+  virtual void append(const ShardSample& sample, bool stopped) = 0;
+  /// Called on every other exit (budget, deadline, cancel, fault).
+  virtual void sync() = 0;
+};
+
 /// Appends sealed records to an existing log. Records queue in memory
 /// until flush(), which appends them in one write (first terminating a
 /// torn final line, so a record is never fused onto a partial one);

@@ -2,12 +2,10 @@
 
 #include <utility>
 
-#include "maxpower/hyper_sample.hpp"
+#include "maxpower/engine.hpp"
 #include "maxpower/ledger.hpp"
-#include "maxpower/tail_fitter.hpp"
 #include "maxpower/unit_source.hpp"
 #include "util/jsonl.hpp"
-#include "util/rng.hpp"
 
 namespace mpe::maxpower {
 
@@ -56,6 +54,44 @@ std::string shard_log_key(const CampaignJob& job, std::uint64_t shard,
       .object();
 }
 
+/// A shard's checkpoint. Best-effort: an unusable log only costs
+/// recomputation, so no failure to read or write it ends the shard.
+class ShardLog final : public SampleSink {
+ public:
+  ShardLog(const std::string& path, const std::string& key, std::uint64_t lo,
+           std::uint64_t hi, std::size_t every)
+      : writer_(path), every_(every == 0 ? 1 : every) {
+    try {
+      SampleLog log = load_sample_log(path, key, lo, hi);
+      if (log.state == SampleLogState::kLoaded) {
+        recorded = std::move(log.prefix);
+      } else {
+        // Fresh, foreign or corrupt: start over under our own header.
+        create_sample_log(path, key);
+      }
+    } catch (const Error&) {
+    }
+  }
+
+  void append(const ShardSample& sample, bool stopped) override {
+    writer_.append(sample);
+    if (stopped || writer_.pending() >= every_) sync();
+  }
+  void sync() override {
+    try {
+      writer_.flush();
+    } catch (const Error&) {
+      // Lost records are recomputed on resume.
+    }
+  }
+
+  std::vector<ShardSample> recorded;  ///< the resumed prefix lo, lo+1, ...
+
+ private:
+  SampleLogWriter writer_;
+  std::size_t every_;
+};
+
 }  // namespace
 
 ShardOutcome run_campaign_shard(const CampaignJob& job, std::uint64_t shard,
@@ -72,65 +108,38 @@ ShardOutcome run_campaign_shard(const CampaignJob& job, std::uint64_t shard,
     return out;
   }
 
-  const EngineConfig cfg = campaign_engine_config(job);
-  const TailFitter& fitter =
-      cfg.fitter != nullptr ? *cfg.fitter : default_tail_fitter();
-
   JobStack stack;
   out.error = error_code_of([&] { stack = build_job_stack(job); });
   if (out.error != ErrorCode::kOk) return out;  // status is kFailed
   PopulationUnitSource source(*stack.population);
 
-  // Checkpointing is best-effort: an unusable log only costs recomputation.
-  const std::string ckpt = options.state_dir + "/" + job.name + ".shard" +
-                           std::to_string(shard) + ".ckpt";
-  const std::string key = shard_log_key(job, shard, lo, hi);
-  try {
-    SampleLog log = load_sample_log(ckpt, key, lo, hi);
-    if (log.state == SampleLogState::kLoaded) {
-      out.samples = std::move(log.prefix);
-    } else {
-      // Fresh, foreign or corrupt: start over under our own header.
-      create_sample_log(ckpt, key);
-    }
-  } catch (const Error&) {
-  }
-  SampleLogWriter writer(ckpt);
-  const auto flush_pending = [&]() {
-    try {
-      writer.flush();
-    } catch (const Error&) {
-      // Lost records are recomputed on resume.
-    }
-  };
-
-  const std::size_t every = options.checkpoint_every_k == 0
-                                ? 1
-                                : options.checkpoint_every_k;
-  for (std::uint64_t i = lo + out.samples.size(); i < hi; ++i) {
-    const util::StopCause cause = options.control.should_stop();
-    if (cause != util::StopCause::kNone) {
-      flush_pending();
+  ShardLog log(options.state_dir + "/" + job.name + ".shard" +
+                   std::to_string(shard) + ".ckpt",
+               shard_log_key(job, shard, lo, hi), lo, hi,
+               options.checkpoint_every_k);
+  EngineConfig cfg = campaign_engine_config(job);
+  cfg.options.control = options.control;
+  WindowRun window;
+  out.error = error_code_of([&] {
+    window = Engine(cfg).run_window(source, job.seed, lo, hi, log.recorded,
+                                    log);
+  });
+  if (out.error == ErrorCode::kOk) out.error = window.fault;
+  if (out.error != ErrorCode::kOk) return out;  // status is kFailed
+  switch (window.result.stop_reason) {
+    case StopReason::kCancelled:
       out.status = JobStatus::kStopped;
-      out.error = cause == util::StopCause::kDeadline ? ErrorCode::kDeadline
-                                                      : ErrorCode::kCancelled;
+      out.error = ErrorCode::kCancelled;
       return out;
-    }
-    out.error = error_code_of([&] {
-      Rng hyper_rng(stream_seed(job.seed, i));
-      out.samples.push_back(shard_sample_from_hyper(
-          i, draw_hyper_sample(source, cfg.options.hyper, fitter, hyper_rng)));
-    });
-    if (out.error != ErrorCode::kOk) {
-      flush_pending();
-      out.status = JobStatus::kFailed;
+    case StopReason::kDeadlineExceeded:
+      out.status = JobStatus::kStopped;
+      out.error = ErrorCode::kDeadline;
       return out;
-    }
-    writer.append(out.samples.back());
-    if (writer.pending() >= every) flush_pending();
+    default:
+      break;
   }
-  flush_pending();
   out.status = JobStatus::kDone;
+  out.samples = std::move(window.samples);
   return out;
 }
 

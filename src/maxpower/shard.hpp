@@ -6,12 +6,15 @@
 // function of Rng(stream_seed(seed, i)) — the counter-derived streams make
 // the draw for index i identical no matter which process computes it, in
 // what order, or how many times. A shard therefore just materializes a
-// slice of that deterministic sequence (compute_shard / run_campaign_shard),
-// and assembly (assemble_job -> Engine::replay) re-runs the engine's own
-// fold + stopping chain over the recorded prefix, yielding a result
-// bit-identical to a single-process run. Exactly-once delivery of shard
-// results is the ledger's job (maxpower/ledger, job:shard keyed records);
-// this module only has to be idempotent, which determinism gives for free.
+// slice of that deterministic sequence (run_campaign_shard, through
+// Engine::run_window), and assembly (assemble_job -> Engine::replay) re-runs
+// the engine's own fold + stopping chain over the recorded prefix, yielding
+// a result bit-identical to a single-process run. Shard 0 already holds the
+// job's whole prefix, so it folds as it draws and stops where the local run
+// stops; later shards have nothing to fold against and draw their full
+// range. Exactly-once delivery of shard results is the ledger's job
+// (maxpower/ledger, job:shard keyed records); this module only has to be
+// idempotent, which determinism gives for free.
 //
 // Shard checkpoints are sample logs (maxpower/sample_log.hpp, keyed by the
 // job, shard, range and spec) under <state_dir>/<job>.shard<k>.ckpt. Two
@@ -55,8 +58,9 @@ struct ShardRunOptions {
   std::size_t checkpoint_every_k = 1;  ///< flush cadence, in samples
 };
 
-/// Terminal outcome of one shard computation. kDone carries the full
-/// [lo, hi) sample slice; kStopped means run control interrupted it (the
+/// Terminal outcome of one shard computation. kDone carries the sample
+/// slice: all of [lo, hi), or for shard 0 of a job that stops early the
+/// prefix [0, stop]; kStopped means run control interrupted it (the
 /// checkpoint keeps the progress); kFailed names the draw fault.
 struct ShardOutcome {
   std::string job;
@@ -69,10 +73,14 @@ struct ShardOutcome {
 };
 
 /// Computes hyper-samples lo..hi-1 of `job` (never throws; failures land in
-/// the outcome). There is no convergence rule inside a shard — whether the
-/// job stops early depends on the global prefix, which only the assembling
-/// coordinator sees — so a shard always computes its full range. Resumes
-/// from <state_dir>/<job>.shard<k>.ckpt when a valid one exists.
+/// the outcome). A shard with lo == 0 holds the job's whole prefix: it folds
+/// each sample through the engine's fold and stopping chain and stops at the
+/// index where the local run stops, so its slice [0, stop] may be shorter
+/// than the range — and assembles alone into the job's final result. A
+/// shard with lo > 0 cannot see the prefix before it and computes its full
+/// range. Resumes from <state_dir>/<job>.shard<k>.ckpt when a valid one
+/// exists; a resumed shard-0 log that already reaches the stopping point is
+/// returned without drawing.
 ShardOutcome run_campaign_shard(const CampaignJob& job, std::uint64_t shard,
                                 std::uint64_t lo, std::uint64_t hi,
                                 const ShardRunOptions& options);
@@ -87,7 +95,8 @@ struct AssembledJob {
 };
 
 /// Replays `prefix` (the concatenated samples of done shards 0..j, indices
-/// contiguous from 0) through the job's engine composition. Throws
+/// contiguous from 0; a short shard 0 is a whole prefix by itself) through
+/// the job's engine composition. Throws
 /// mpe::Error(kPrecondition) on a non-contiguous prefix, kBadData on an
 /// invalid job spec.
 AssembledJob assemble_job(const CampaignJob& job,

@@ -5,7 +5,8 @@
 // expiry + bounded reassignment, adoption after coordinator restart,
 // exactly-once result dedup, drain) and shard leases (ascending grants,
 // straggler speculation, shard-granular expiry, ledger-rebuilt restart,
-// refusal of whole-job claims and results) — and in-process coordinator +
+// short shard-0 results, refusal of whole-job claims and results, release
+// of terminal jobs' samples) — and in-process coordinator +
 // worker fleets over a real Unix socket and a real TCP listener whose
 // merged ledgers must be byte-identical to a single-process campaign of the
 // same manifest.
@@ -144,6 +145,25 @@ md::Message shard_done(const std::string& worker, const std::string& job,
   m.shard_status = mp::JobStatus::kDone;
   m.samples = mp::encode_shard_samples(synthetic_samples(lo, hi, spread));
   return m;
+}
+
+/// Shard 0 of [0, hi) reporting done with only the samples [0, count): what
+/// a worker whose fold stopped early sends.
+md::Message short_shard_zero(const std::string& worker, const std::string& job,
+                             std::uint64_t hi, std::uint64_t count,
+                             double spread = 0.0) {
+  md::Message m = shard_done(worker, job, 0, 0, hi, spread);
+  m.samples = mp::encode_shard_samples(synthetic_samples(0, count, spread));
+  return m;
+}
+
+std::size_t job_records(const std::string& ledger_path,
+                        const std::string& job) {
+  std::size_t n = 0;
+  for (const auto& rec : mp::read_ledger_file(ledger_path).records) {
+    n += !rec.is_shard && rec.job == job;
+  }
+  return n;
 }
 
 md::CoordinatorConfig sharded_config(const std::string& dir) {
@@ -585,6 +605,106 @@ TEST(CoordinatorCore, DoneShardsAssembleIntoExactlyOneJobRecord) {
   EXPECT_TRUE(mp::audit_ledger(ledger).ok());
 }
 
+TEST(CoordinatorCore, ShortShardZeroAssemblesAfterLaterShardsAreDone) {
+  auto config = sharded_config(fresh_dir("cs_short"));
+  const std::string ledger_path = config.state_dir + "/campaign.jsonl";
+  md::CoordinatorCore core(std::move(config));
+  const auto t0 = Clock::now();
+  core.handle(request("w0"), t0);  // j1 shard 0
+  core.handle(request("w1"), t0);  // j1 shard 1
+  ASSERT_EQ(reply_kind(core.handle(shard_done("w1", "j1", 1, 8, 16), t0 + 1s)),
+            md::MessageKind::kAck);
+  EXPECT_EQ(core.phase("j1"), md::JobPhase::kPending);  // shard 0 owed
+  // Shard 0 stopped at the 3rd identical estimate: [0, 3) is the whole
+  // prefix, and shard 1's samples must not be appended after it.
+  ASSERT_EQ(reply_kind(core.handle(short_shard_zero("w0", "j1", 8, 3),
+                                   t0 + 2s)),
+            md::MessageKind::kAck);
+  EXPECT_EQ(core.phase("j1"), md::JobPhase::kDone);
+  EXPECT_EQ(core.shards_done(), 2u);
+  const auto ledger = mp::read_ledger_file(ledger_path);
+  ASSERT_EQ(ledger.records.size(), 3u);  // two shard records, one job record
+  EXPECT_EQ(ledger.records[2].job, "j1");
+  EXPECT_EQ(ledger.records[2].status, "done");
+  EXPECT_EQ(ledger.records[2].estimate, 5.0);
+  EXPECT_TRUE(mp::audit_ledger(ledger).ok());
+}
+
+TEST(CoordinatorCore, ShortShardResultThatIsNotTerminalIsRefused) {
+  auto config = sharded_config(fresh_dir("cs_short_refused"));
+  const std::string ledger_path = config.state_dir + "/campaign.jsonl";
+  md::CoordinatorCore core(std::move(config));
+  const auto t0 = Clock::now();
+  core.handle(request("w0"), t0);  // j1 shard 0
+  core.handle(request("w1"), t0);  // j1 shard 1
+  const std::string refused = "shard samples do not cover the range";
+  // Five spread-out estimates: the fold has not stopped, so a short slice
+  // is not the job's prefix up to its stopping point.
+  const md::Message unconverged =
+      md::decode_message(core.handle(
+          short_shard_zero("w0", "j1", 8, 5, /*spread=*/10.0), t0 + 1s));
+  ASSERT_EQ(unconverged.kind, md::MessageKind::kError);
+  EXPECT_EQ(unconverged.detail, refused);
+  // A gap is refused even where the samples would converge.
+  md::Message gap = short_shard_zero("w0", "j1", 8, 4);
+  auto samples = synthetic_samples(0, 4, 0.0);
+  samples.erase(samples.begin() + 1);
+  gap.samples = mp::encode_shard_samples(samples);
+  EXPECT_EQ(md::decode_message(core.handle(gap, t0 + 1s)).detail, refused);
+  // Only shard 0 may come back short: a later shard has no prefix to stop.
+  md::Message later = shard_done("w1", "j1", 1, 8, 16);
+  later.samples = mp::encode_shard_samples(synthetic_samples(8, 11, 0.0));
+  EXPECT_EQ(md::decode_message(core.handle(later, t0 + 1s)).detail, refused);
+
+  // Nothing changed: no shard is done, nothing was logged, and both shards
+  // are still leased to their holders.
+  EXPECT_EQ(core.shards_done(), 0u);
+  EXPECT_EQ(core.samples_held(), 0u);
+  EXPECT_EQ(core.phase("j1"), md::JobPhase::kPending);
+  EXPECT_TRUE(mp::read_ledger_file(ledger_path).records.empty());
+  EXPECT_EQ(reply_kind(core.handle(shard_heartbeat("w0", "j1", 0), t0 + 2s)),
+            md::MessageKind::kAck);
+  const md::Message next =
+      md::decode_message(core.handle(request("w2"), t0 + 2s));
+  ASSERT_EQ(next.kind, md::MessageKind::kShardLease);
+  EXPECT_EQ(next.shard, 2u);
+}
+
+TEST(CoordinatorCore, TerminalJobsReleaseTheirShardSamples) {
+  // A persistent daemon keeps every job's state: the samples held for
+  // assembly must go when the job turns terminal.
+  auto config = sharded_config(fresh_dir("cs_release"));
+  config.persistent = true;
+  const std::string ledger_path = config.state_dir + "/campaign.jsonl";
+  md::CoordinatorCore core(std::move(config));
+  const auto t0 = Clock::now();
+  ASSERT_EQ(reply_kind(core.handle(
+                shard_done("w0", "j1", 0, 0, 8, /*spread=*/10.0), t0)),
+            md::MessageKind::kAck);
+  EXPECT_EQ(core.phase("j1"), md::JobPhase::kPending);
+  EXPECT_EQ(core.samples_held(), 8u);
+  ASSERT_EQ(reply_kind(core.handle(shard_done("w1", "j2", 1, 8, 16), t0)),
+            md::MessageKind::kAck);
+  EXPECT_EQ(core.samples_held(), 16u);
+  ASSERT_EQ(reply_kind(core.handle(short_shard_zero("w0", "j2", 8, 3), t0)),
+            md::MessageKind::kAck);
+  EXPECT_EQ(core.phase("j2"), md::JobPhase::kDone);
+  EXPECT_EQ(core.samples_held(), 8u);  // j1's shard 0 only
+  ASSERT_TRUE(core.abandon("j1"));
+  EXPECT_EQ(core.samples_held(), 0u);
+
+  // Late duplicates for the terminal jobs are still acked, and add nothing
+  // to the ledger or the held samples.
+  const std::size_t records = mp::read_ledger_file(ledger_path).records.size();
+  for (const md::Message& late :
+       {short_shard_zero("w9", "j2", 8, 3), shard_done("w9", "j2", 1, 8, 16),
+        shard_done("w9", "j1", 1, 8, 16, /*spread=*/10.0)}) {
+    EXPECT_EQ(reply_kind(core.handle(late, t0 + 1s)), md::MessageKind::kAck);
+  }
+  EXPECT_EQ(core.samples_held(), 0u);
+  EXPECT_EQ(mp::read_ledger_file(ledger_path).records.size(), records);
+}
+
 TEST(CoordinatorCore, StragglerGetsASpeculativeSecondHolderFirstResultWins) {
   auto config = sharded_config(fresh_dir("cs_spec"));
   config.jobs = {tiny_job("j1", 3)};
@@ -711,6 +831,43 @@ TEST(CoordinatorCore, RestartRebuildsDoneShardsFromTheLedgerAlone) {
       md::decode_message(second.handle(request("w6"), t1));
   ASSERT_EQ(after.kind, md::MessageKind::kShardLease);
   EXPECT_EQ(after.shard, 3u);
+}
+
+TEST(CoordinatorCore, RestartFromAShortShardZeroRecordAssemblesOnce) {
+  const std::string dir = fresh_dir("cs_restart_short");
+  const std::string ledger_path = dir + "/campaign.jsonl";
+  {
+    // The coordinator died after logging j1's short shard 0 (and a later
+    // shard) but before the job record; j2's short record is not terminal,
+    // so no coordinator would have accepted it.
+    md::CoordinatorCore first(sharded_config(dir));
+    mp::append_ledger_line(
+        ledger_path, mp::shard_record_line("j1", 1, 8, 16, "w1",
+                                           synthetic_samples(8, 16, 0.0)));
+    mp::append_ledger_line(
+        ledger_path, mp::shard_record_line("j1", 0, 0, 8, "w0",
+                                           synthetic_samples(0, 3, 0.0)));
+    mp::append_ledger_line(
+        ledger_path, mp::shard_record_line("j2", 0, 0, 8, "w0",
+                                           synthetic_samples(0, 5, 10.0)));
+  }
+  {
+    md::CoordinatorCore second(sharded_config(dir));
+    EXPECT_EQ(second.phase("j1"), md::JobPhase::kDone);
+    EXPECT_EQ(second.samples_held(), 0u);
+    EXPECT_EQ(job_records(ledger_path, "j1"), 1u);
+    // j2's record was dropped: its shard 0 is owed again.
+    EXPECT_EQ(second.phase("j2"), md::JobPhase::kPending);
+    const md::Message next =
+        md::decode_message(second.handle(request("w2"), Clock::now()));
+    ASSERT_EQ(next.kind, md::MessageKind::kShardLease);
+    EXPECT_EQ(next.job, "j2");
+    EXPECT_EQ(next.shard, 0u);
+  }
+  md::CoordinatorCore third(sharded_config(dir));
+  EXPECT_EQ(third.phase("j1"), md::JobPhase::kDone);
+  EXPECT_EQ(job_records(ledger_path, "j1"), 1u);  // skipped, not reassembled
+  EXPECT_TRUE(mp::audit_ledger(mp::read_ledger_file(ledger_path)).ok());
 }
 
 TEST(CoordinatorCore, HelloNegotiatesTheSupportedProtocolRange) {
@@ -874,6 +1031,27 @@ TEST(CoordinatorCore, AutoShardSizingTracksObservedLatencyWithinBounds) {
   ASSERT_EQ(l2.kind, md::MessageKind::kShardLease);
   EXPECT_EQ(l2.job, "j2");
   EXPECT_EQ(l2.hi - l2.lo, 3u);
+
+  // Latency is per sample returned: 3 samples in 30ms -> 10ms/sample;
+  // ewma = 0.2*10 + 0.8*280 = 226; 1000/226 -> 4.
+  const auto t2 = t1 + 2100ms;
+  ASSERT_EQ(reply_kind(core.handle(shard_done("w1", "j2", 0, 0, 3), t2 + 30ms)),
+            md::MessageKind::kAck);
+  EXPECT_EQ(core.phase("j2"), md::JobPhase::kDone);
+  EXPECT_EQ(core.shard_size_now(), 4u);
+  // A short shard 0 (3 samples of its 4 in 3000ms) is 1000ms/sample, not
+  // 750ms per attempt of its range: ewma = 0.2*1000 + 0.8*226 = 380.8;
+  // 1000/380.8 -> 2 (dividing by the range would give 3).
+  core.add_job(tiny_job("j3", 5));
+  const md::Message l3 =
+      md::decode_message(core.handle(request("w1"), t2 + 30ms));
+  ASSERT_EQ(l3.kind, md::MessageKind::kShardLease);
+  ASSERT_EQ(l3.hi - l3.lo, 4u);
+  ASSERT_EQ(reply_kind(core.handle(short_shard_zero("w1", "j3", 4, 3),
+                                   t2 + 3030ms)),
+            md::MessageKind::kAck);
+  EXPECT_EQ(core.phase("j3"), md::JobPhase::kDone);
+  EXPECT_EQ(core.shard_size_now(), 2u);
 }
 
 // ------------------------------------------------- end-to-end over a socket

@@ -1,6 +1,6 @@
 // maxpower/shard: wave-index partition math, the shard-sample JSON codec
 // (bit-exact doubles, non-finite estimates), checkpointed shard execution,
-// and the headline guarantee — computing a job as shards on "different
+// shard 0 stopping where the local run stops, and the headline guarantee — computing a job as shards on "different
 // workers" and folding them back through assemble_job yields a result
 // byte-identical to the single-process run, for every shard size.
 #include <gtest/gtest.h>
@@ -44,8 +44,9 @@ mp::CampaignJob tiny_job(const std::string& name, std::uint64_t seed,
   return job;
 }
 
-/// Computes every shard of `job` under `shard_size` and returns the full
-/// sample sequence, shard by shard (what a fleet would deliver).
+/// Computes the shards of `job` under `shard_size` in order and returns the
+/// sample sequence they deliver to assembly: every shard's, up to a short
+/// shard 0, which stopped where the job stops and is a whole prefix alone.
 std::vector<mp::ShardSample> compute_all_shards(const mp::CampaignJob& job,
                                                 std::uint64_t shard_size,
                                                 const std::string& state_dir) {
@@ -59,8 +60,19 @@ std::vector<mp::ShardSample> compute_all_shards(const mp::CampaignJob& job,
         mp::run_campaign_shard(job, k, range.lo, range.hi, options);
     EXPECT_EQ(out.status, mp::JobStatus::kDone);
     all.insert(all.end(), out.samples.begin(), out.samples.end());
+    if (out.samples.size() < range.hi - range.lo) break;
   }
   return all;
+}
+
+/// The records of the sample log at `path`, whatever its key.
+std::vector<mp::ShardSample> log_records(const std::string& path) {
+  const std::string key = mp::load_sample_log(path, "").found_key;
+  return mp::load_sample_log(path, key).prefix;
+}
+
+std::uint64_t counter(const char* series) {
+  return mpe::util::MetricRegistry::global().snapshot().value(series);
 }
 
 // ---------------------------------------------------------------- partition
@@ -176,32 +188,109 @@ TEST(ShardAssembly, EveryShardSizeReproducesTheSingleProcessRunExactly) {
 }
 
 TEST(ShardAssembly, ShortPrefixOfAConvergingJobIsTerminalEarly) {
-  // With identical conditions the job converges well inside its budget, so
-  // the contiguous prefix becomes terminal before every shard is in — the
-  // coordinator never waits for (or leases) work past the stopping point.
+  // The job converges well inside its budget, so shard 0 stops there and
+  // its prefix is terminal alone — the coordinator never waits for (or
+  // leases) work past the stopping point.
   const mp::CampaignJob job = tiny_job("early", 3);
   const std::string dir = fresh_dir("shard_early");
   const auto all = compute_all_shards(job, 8, dir);
+  ASSERT_LT(all.size(), 8u);
   const mp::AssembledJob full = mp::assemble_job(job, all);
   ASSERT_TRUE(full.terminal);
   ASSERT_TRUE(full.result.converged);
-
-  std::vector<mp::ShardSample> first_shard(all.begin(), all.begin() + 8);
-  const mp::AssembledJob early = mp::assemble_job(job, first_shard);
-  if (full.result.hyper_samples <= 8) {
-    EXPECT_TRUE(early.terminal);
-    EXPECT_EQ(early.result.estimate, full.result.estimate);
-  }
   // A one-sample prefix cannot have converged (min_hyper_samples > 1).
   std::vector<mp::ShardSample> one(all.begin(), all.begin() + 1);
   EXPECT_FALSE(mp::assemble_job(job, one).terminal);
+}
+
+TEST(ShardWindow, ShardZeroStopsAtTheLocalRunsFoldAndAssemblesToIt) {
+  for (const std::uint64_t seed : {3ull, 5ull, 11ull}) {
+    mp::CampaignJob job = tiny_job("fold", seed);
+    mp::JobRunOptions solo_options;
+    solo_options.state_dir = fresh_dir("shard_fold_solo");
+    mpe::Rng jitter(1);
+    const mp::CampaignJobOutcome solo =
+        mp::run_campaign_job(job, solo_options, jitter);
+    ASSERT_EQ(solo.status, mp::JobStatus::kDone);
+    ASSERT_TRUE(solo.result.converged);
+
+    // The local run's checkpoint holds exactly the samples its fold
+    // visited; shard 0 over the whole budget returns that same prefix.
+    const std::uint64_t attempts = mp::job_attempt_budget(job);
+    mp::ShardRunOptions options;
+    options.state_dir = fresh_dir("shard_fold");
+    const mp::ShardOutcome shard =
+        mp::run_campaign_shard(job, 0, 0, attempts, options);
+    ASSERT_EQ(shard.status, mp::JobStatus::kDone);
+    EXPECT_EQ(shard.samples,
+              log_records(solo_options.state_dir + "/fold.ckpt"))
+        << "seed " << seed;
+    EXPECT_LT(shard.samples.size(), attempts);
+
+    const mp::AssembledJob assembled = mp::assemble_job(job, shard.samples);
+    ASSERT_TRUE(assembled.terminal);
+    EXPECT_EQ(mp::campaign_record_line(
+                  mp::assembled_outcome(job, assembled.result)),
+              mp::campaign_record_line(solo))
+        << "seed " << seed;
+  }
+}
+
+TEST(ShardWindow, LaterShardDrawsItsFullRangePastTheStoppingPoint) {
+  const mp::CampaignJob job = tiny_job("later", 5);
+  mp::ShardRunOptions options;
+  options.state_dir = fresh_dir("shard_later");
+  const mp::ShardOutcome zero = mp::run_campaign_shard(job, 0, 0, 8, options);
+  ASSERT_EQ(zero.status, mp::JobStatus::kDone);
+  ASSERT_LT(zero.samples.size(), 8u);  // the job stops inside shard 0
+
+  const mp::ShardOutcome one = mp::run_campaign_shard(job, 1, 8, 16, options);
+  ASSERT_EQ(one.status, mp::JobStatus::kDone);
+  ASSERT_EQ(one.samples.size(), 8u);
+  for (std::size_t i = 0; i < one.samples.size(); ++i) {
+    EXPECT_EQ(one.samples[i].index, 8 + i);
+  }
+}
+
+TEST(ShardWindow, ResumedLogPastTheStoppingPointReturnsWithoutDrawing) {
+  const mp::CampaignJob job = tiny_job("done", 5);
+  const std::string dir = fresh_dir("shard_done");
+  mp::ShardRunOptions options;
+  options.state_dir = dir;
+  const mp::ShardOutcome first = mp::run_campaign_shard(job, 0, 0, 8, options);
+  ASSERT_EQ(first.status, mp::JobStatus::kDone);
+  ASSERT_LT(first.samples.size(), 8u);
+
+  // Pad the log past the stopping point, as a log that kept drawing to the
+  // end of its range would be: the indices up to 8, from a later window.
+  const mp::ShardOutcome rest = mp::run_campaign_shard(
+      job, 9, first.samples.size(), 8, options);
+  ASSERT_EQ(rest.status, mp::JobStatus::kDone);
+  {
+    mp::SampleLogWriter writer(dir + "/done.shard0.ckpt");
+    for (const auto& s : rest.samples) writer.append(s);
+    writer.flush();
+  }
+
+  auto& reg = mpe::util::MetricRegistry::global();
+  reg.enable(true);
+  const std::uint64_t waves = counter("mpe_estimator_waves_total");
+  const std::uint64_t accepted = counter("mpe_estimator_hyper_samples_total");
+  const mp::ShardOutcome resumed =
+      mp::run_campaign_shard(job, 0, 0, 8, options);
+  EXPECT_EQ(counter("mpe_estimator_waves_total"), waves);
+  EXPECT_EQ(counter("mpe_estimator_hyper_samples_total"), accepted);
+  reg.enable(false);
+  ASSERT_EQ(resumed.status, mp::JobStatus::kDone);
+  EXPECT_EQ(resumed.samples, first.samples);  // [0, stop], nothing more
 }
 
 TEST(ShardAssembly, NonContiguousPrefixThrows) {
   const mp::CampaignJob job = tiny_job("gap", 3);
   const std::string dir = fresh_dir("shard_gap");
   auto all = compute_all_shards(job, 8, dir);
-  all.erase(all.begin() + 2);  // hole at index 2
+  ASSERT_GE(all.size(), 3u);
+  all.erase(all.begin() + 1);  // hole at index 1
   EXPECT_THROW((void)mp::assemble_job(job, all), mpe::Error);
 }
 
@@ -231,14 +320,15 @@ TEST(ShardCheckpoint, TruncatedCheckpointResumesToTheSameSamples) {
   const std::string dir = fresh_dir("shard_ckpt");
   mp::ShardRunOptions options;
   options.state_dir = dir;
-  const mp::ShardOutcome first = mp::run_campaign_shard(job, 0, 0, 8, options);
+  // Shard 1: a full window, so there are records past the tear to resume.
+  const mp::ShardOutcome first = mp::run_campaign_shard(job, 1, 8, 16, options);
   ASSERT_EQ(first.status, mp::JobStatus::kDone);
   ASSERT_EQ(first.samples.size(), 8u);
 
   // kill -9 mid-flush: keep the header + first two sample lines, tearing
   // the third in half. The CRC catches the torn line; the contiguous
   // prefix survives and the rest recomputes deterministically.
-  const std::string ckpt = dir + "/ckpt.shard0.ckpt";
+  const std::string ckpt = dir + "/ckpt.shard1.ckpt";
   std::string text = mpe::util::read_file(ckpt);
   std::size_t keep = 0;
   for (int lines = 0; lines < 3; ++lines) {
@@ -246,7 +336,8 @@ TEST(ShardCheckpoint, TruncatedCheckpointResumesToTheSameSamples) {
   }
   mpe::util::atomic_write_file(ckpt, text.substr(0, keep + 10));
 
-  const mp::ShardOutcome second = mp::run_campaign_shard(job, 0, 0, 8, options);
+  const mp::ShardOutcome second =
+      mp::run_campaign_shard(job, 1, 8, 16, options);
   ASSERT_EQ(second.status, mp::JobStatus::kDone);
   EXPECT_EQ(second.samples, first.samples);
 }
@@ -281,13 +372,14 @@ TEST(ShardRun, RunControlStopKeepsPartialProgress) {
   options.control.cancel = cancel;
   cancel.request_stop();
   const mp::ShardOutcome stopped =
-      mp::run_campaign_shard(job, 0, 0, 8, options);
+      mp::run_campaign_shard(job, 1, 8, 16, options);
   EXPECT_EQ(stopped.status, mp::JobStatus::kStopped);
   EXPECT_EQ(stopped.error, mpe::ErrorCode::kCancelled);
 
   mp::ShardRunOptions clean;
   clean.state_dir = dir;
-  const mp::ShardOutcome resumed = mp::run_campaign_shard(job, 0, 0, 8, clean);
+  const mp::ShardOutcome resumed =
+      mp::run_campaign_shard(job, 1, 8, 16, clean);
   EXPECT_EQ(resumed.status, mp::JobStatus::kDone);
   EXPECT_EQ(resumed.samples.size(), 8u);
 }
